@@ -28,6 +28,15 @@ from repro.obs import NULL_OBS
 #: Threshold adjustment step (the paper's 0.1 grid).
 STEP = 0.1
 
+#: Initial length of a shadow replay's slot columns.  When the columns
+#: fill up, evicted slots are compacted away; the columns double only if
+#: more than half of them still hold cached objects.
+_INITIAL_SLOTS = 256
+
+#: First partition width of a multi-victim overflow.  It grows x4 until
+#: the k smallest scores cover the byte deficit.
+_PARTITION_K = 16
+
 
 @dataclass(frozen=True, slots=True)
 class WindowSample:
@@ -47,57 +56,102 @@ def shadow_hit_ratio(
 ) -> float:
     """Hit ratio of an LHR-style shadow cache with threshold ``delta``.
 
-    The shadow cache admits ``probability >= delta`` and evicts the
-    cached object with the smallest ``p / (size * (now - last_access))``,
-    i.e. LHR's eviction rule with IRT_1 evaluated lazily at eviction time
-    via a lazily rebuilt heap (one rebuild pass per overflow burst keeps
-    the replay O(n log n) overall).
+    The shadow cache admits ``probability >= delta``.  While an admitted
+    sample does not fit, it evicts the cached object with the smallest
+    ``q = p / (size * max(now - last_access, 1e-9))``, i.e. LHR's
+    eviction rule with IRT_1 evaluated lazily at eviction time.  Equal
+    scores leave in admission order; a hit refreshes ``p`` and the
+    access time in place and does not change that order.
+
+    The cache lives in float64 columns of ``p``, ``size`` and ``last``,
+    one slot per admission, so slot order is admission order.  An evicted
+    slot gets ``p = inf`` and thus ``q = inf``.  Each overflow computes
+    ``q`` for all slots in one vectorised expression: O(slots) array
+    work, where the slots are the cached objects plus those evicted since
+    the columns were last compacted.  It evicts the first minimum
+    alone when that covers the byte deficit.  Otherwise it partitions out
+    the k smallest scores, keeps every slot tied with the k-th, and
+    stable-sorts just those; k grows x4 until they cover the deficit.
+    The Python-level work per overflow is O(victims).
     """
     if not samples:
         return 0.0
-    cached: dict[int, tuple[int, float, float]] = {}  # id -> (size, p, last)
+    slots = _INITIAL_SLOTS
+    p = np.empty(slots)
+    size = np.empty(slots)
+    last = np.empty(slots)
+    owner: list[int] = []  # slot -> obj_id, stale once the slot is evicted
+    slot_of: dict[int, int] = {}  # cached obj_id -> slot
     used = 0
     hits = 0.0
     total = 0.0
     for sample in samples:
         weight = float(sample.size) if byte_weighted else 1.0
         total += weight
-        entry = cached.get(sample.obj_id)
-        if entry is not None:
+        slot = slot_of.get(sample.obj_id)
+        if slot is not None:
             hits += weight
-            cached[sample.obj_id] = (entry[0], sample.probability, sample.time)
+            p[slot] = sample.probability
+            last[slot] = sample.time
             continue
         if sample.probability < delta or sample.size > capacity:
             continue
-        if used + sample.size > capacity:
-            # Evict smallest-q objects until the sample fits.  Large
-            # shadow caches rank their victims vectorized: the q values
-            # use the same float ops as the scalar key and a stable
-            # argsort keeps sorted()'s tie order (dict insertion order),
-            # so the victim sequence is bit-identical either way.
-            if len(cached) >= 64:
-                entries = np.array(list(cached.values()), dtype=np.float64)
-                q = entries[:, 1] / (
-                    entries[:, 0]
-                    * np.maximum(sample.time - entries[:, 2], 1e-9)
-                )
-                ids = list(cached)
-                scores = [
-                    ids[i] for i in np.argsort(q, kind="stable").tolist()
-                ]
+        deficit = used + sample.size - capacity
+        if deficit > 0:
+            top = len(owner)
+            q = p[:top] / (size[:top] * np.maximum(sample.time - last[:top], 1e-9))
+            first = int(q.argmin())
+            if size[first] >= deficit:
+                victims = [first]
             else:
-                scores = sorted(
-                    cached,
-                    key=lambda oid: cached[oid][1]
-                    / (cached[oid][0] * max(sample.time - cached[oid][2], 1e-9)),
-                )
-            for victim in scores:
-                if used + sample.size <= capacity:
-                    break
-                used -= cached.pop(victim)[0]
-        cached[sample.obj_id] = (sample.size, sample.probability, sample.time)
+                victims = _smallest_covering(q, size[:top], deficit)
+            for victim in victims:
+                used -= int(size[victim])
+                del slot_of[owner[victim]]
+                p[victim] = np.inf
+        if len(owner) == slots:
+            keep = np.flatnonzero(p != np.inf)
+            live = len(keep)
+            if 2 * live > slots:
+                slots *= 2
+            p, size, last = (_compacted(column, keep, slots) for column in (p, size, last))
+            owner = [owner[index] for index in keep.tolist()]
+            slot_of = dict(zip(owner, range(live)))
+        slot = len(owner)
+        owner.append(sample.obj_id)
+        slot_of[sample.obj_id] = slot
+        p[slot] = sample.probability
+        size[slot] = sample.size
+        last[slot] = sample.time
         used += sample.size
     return hits / total if total else 0.0
+
+
+def _smallest_covering(q: np.ndarray, size: np.ndarray, deficit: int) -> list[int]:
+    """The shortest prefix of slots in (q, slot) order whose sizes sum to
+    at least ``deficit``: exactly what a stable sort of all slots by ``q``
+    would evict first.  Sorts only the ``q <= k-th smallest`` slots, all
+    of them, so ties at the boundary keep their slot order."""
+    k = _PARTITION_K
+    while True:
+        every = k >= len(q)
+        if every:
+            candidates = np.arange(len(q))
+        else:
+            candidates = np.flatnonzero(q <= np.partition(q, k - 1)[k - 1])
+        order = candidates[np.argsort(q[candidates], kind="stable")]
+        covered = np.cumsum(size[order])
+        cut = int(np.searchsorted(covered, deficit))
+        if cut < len(order) or every:
+            return order[: cut + 1].tolist()
+        k *= 4
+
+
+def _compacted(column: np.ndarray, keep: np.ndarray, slots: int) -> np.ndarray:
+    """``column[keep]`` moved to the front of a fresh ``slots``-long column."""
+    out = np.empty(slots)
+    out[: len(keep)] = column[keep]
+    return out
 
 
 class ThresholdEstimator:

@@ -7,11 +7,16 @@ Two on-disk formats are supported:
 * ``webcachesim`` — whitespace-separated ``time id size`` lines with no
   header, the de-facto interchange format used by the LRB/webcachesim
   simulators the paper builds on.
+
+Both loaders fail closed: a row with an unparsable field, a non-finite or
+negative time, a time below the previous row's, or a non-positive size
+raises ``ValueError`` naming ``path:line``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 from repro.traces.request import Request, Trace
@@ -42,14 +47,7 @@ def load_trace_csv(path: str | Path, name: str | None = None) -> Trace:
         for index, row in enumerate(reader):
             if len(row) != 3:
                 raise ValueError(f"{path}:{index + 2}: expected 3 columns, got {len(row)}")
-            requests.append(
-                Request(
-                    time=float(row[0]),
-                    obj_id=int(row[1]),
-                    size=int(row[2]),
-                    index=index,
-                )
-            )
+            requests.append(_parse_request(row, requests, f"{path}:{index + 2}"))
     return Trace(requests, name=name or path.stem)
 
 
@@ -73,12 +71,21 @@ def load_trace_webcachesim(path: str | Path, name: str | None = None) -> Trace:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{index + 1}: expected 3 fields, got {len(parts)}")
-            requests.append(
-                Request(
-                    time=float(parts[0]),
-                    obj_id=int(parts[1]),
-                    size=int(parts[2]),
-                    index=len(requests),
-                )
-            )
+            requests.append(_parse_request(parts, requests, f"{path}:{index + 1}"))
     return Trace(requests, name=name or path.stem)
+
+
+def _parse_request(fields: list[str], previous: list[Request], where: str) -> Request:
+    """The request in one ``time, id, size`` row, appended after
+    ``previous``; ``where`` (``path:line``) prefixes every error."""
+    try:
+        time, obj_id, size = float(fields[0]), int(fields[1]), int(fields[2])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if not math.isfinite(time) or time < 0:
+        raise ValueError(f"{where}: time must be finite and non-negative, got {fields[0]}")
+    if previous and time < previous[-1].time:
+        raise ValueError(f"{where}: time {time} decreases from {previous[-1].time}")
+    if size <= 0:
+        raise ValueError(f"{where}: size must be positive, got {size}")
+    return Request(time=time, obj_id=obj_id, size=size, index=len(previous))
