@@ -115,7 +115,7 @@ def test_policy_throughput_fastpath(
     benchmark, workload, packed_workload, name, kwargs
 ):
     """The columnar fast path: replay a ``PackedTrace`` through the engine
-    (scalar kernels / span kernels, no per-request ``Request``)."""
+    (span kernels with no per-request ``Request``, or the base walker)."""
     capacity = cache_bytes("cdn-a", 512)
 
     def replay():

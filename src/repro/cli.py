@@ -187,8 +187,8 @@ def _build_observation(
     ``learner`` telemetry hub (``--learner``) ride the handle as extra
     sinks; when they are the *only* things asked for, the handle stays
     disabled (``Observation.sidecars_only``) so the replay keeps the
-    packed fast path — spans land at chunk granularity and learner rows
-    at window granularity either way.  If a later recorder constructor
+    native span kernels — spans land at chunk granularity and learner
+    rows at window granularity either way.  If a later recorder constructor
     fails, the ones already built are closed — no leaked file handles
     on bad flags.
     """
@@ -346,7 +346,7 @@ def _capture_events(obs: Observation) -> MemoryRecorder | None:
     """Splice a :class:`MemoryRecorder` into an enabled observation so
     the ledger can digest the event stream; returns the recorder, or
     None when ``obs`` is disabled (an unledgered event digest is better
-    than forcing every run off the packed fast path)."""
+    than pinning every run to the base walker)."""
     if not obs.enabled:
         return None
     capture = MemoryRecorder()
@@ -515,15 +515,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         heartbeat_interval = 1000
     server = _start_server(args, obs, tracker, ledger, learner=learner)
-    # Unobserved replays take the columnar fast path; observed ones keep
-    # the reference object stream (the engine would unpack anyway).
-    replay_trace = trace if obs.enabled else PackedTrace.from_trace(trace)
     try:
         with obs:
             with obs.spans.span("cli.simulate", cat="cli", trace=args.trace):
                 result = simulate(
                     policy,
-                    replay_trace,
+                    trace,
                     window_requests=args.window,
                     warmup_requests=args.warmup,
                     obs=obs,
@@ -581,7 +578,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         with obs:
             with obs.spans.span("cli.compare", cat="cli", trace=args.trace):
                 results = run_comparison(
-                    trace if obs.enabled else PackedTrace.from_trace(trace),
+                    trace,
                     names,
                     args.capacities,
                     window_requests=args.window,

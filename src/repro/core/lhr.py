@@ -161,8 +161,8 @@ class LhrCache(CachePolicy):
         self._predict_histogram = None
         # The native replay_span kernel below inlines this class's hooks
         # and the base control flow; subclasses overriding either must
-        # fall back to the Request-wrapping shim.
-        self._restrict_scalar_kernel(LhrCache, DLhrCache, NLhrCache)
+        # stay on the base walker.
+        self._pin_span_kernel(LhrCache, DLhrCache, NLhrCache)
 
     # ------------------------------------------------------------------
     # Observability
@@ -333,9 +333,9 @@ class LhrCache(CachePolicy):
         and feature store may all change, so the loop breaks and the
         span tail is re-gathered and re-scored under the new state —
         which is precisely what per-request scoring would have seen.
-        Equivalence tests pin this kernel bit-identical to the object
-        path; instrumented runs are routed back to the shim by
-        ``_sync_scalar_dispatch``.
+        Equivalence tests pin this kernel bit-identical to ``request``;
+        instrumented runs are routed to the base walker by
+        ``_pin_span_kernel``.
         """
         features = self.features
         num_irts = self.num_irts

@@ -27,7 +27,7 @@ sliding window:
   node count) on each refit.
 
 Everything is collected at window close from buffers LHR already
-maintains, so the per-request packed fast path is undisturbed; the
+maintains, so the per-request span kernels are undisturbed; the
 disabled sink (:data:`NULL_LEARNER`) costs one attribute check per
 window.  Like ``obs.spans``, the learner sink is deliberately *not*
 covered by ``Observation.enabled``.

@@ -14,16 +14,16 @@ A third sink, ``obs.spans``, carries the timeline recorder
 and is deliberately *not* covered by ``enabled`` — ``enabled`` keeps
 meaning "events and metrics flow", while span recording has its own
 ``obs.spans.enabled`` flag.  That split is what lets
-:meth:`Observation.spans_only` record a timeline while the packed
-replay fast path and native policy kernels (both gated on
-``obs.enabled``) stay engaged.
+:meth:`Observation.spans_only` record a timeline while native policy
+span kernels (pinned to the base walker only while ``obs.enabled``)
+stay engaged.
 
 A fourth sink, ``obs.learner``, carries the per-window learner-health
 telemetry (:mod:`repro.obs.learner`).  It follows the same contract as
 spans: defaults to the no-op :data:`NULL_LEARNER`, has its own
 ``obs.learner.enabled`` flag outside ``enabled``, and — because it only
 collects at window close from buffers LHR already keeps — leaves the
-packed fast path and the per-request accounting bit-identical.
+native span kernels and the per-request accounting bit-identical.
 
 The module-level :data:`NULL_OBS` singleton is the disabled handle:
 ``enabled`` is False, ``emit`` does nothing and ``timer`` returns a
@@ -67,10 +67,10 @@ class Observation:
         """An observation that records *only* the span timeline.
 
         ``enabled`` is forced False on the instance, so event emission,
-        metrics, the packed replay fast path and native policy kernels
-        all behave exactly as with :data:`NULL_OBS` — ``--trace-out``
-        without other observability flags must not change what executes,
-        only record when it ran.
+        metrics and native policy span kernels all behave exactly as
+        with :data:`NULL_OBS` — ``--trace-out`` without other
+        observability flags must not change what executes, only record
+        when it ran.
         """
         obs = cls(spans=spans)
         obs.enabled = False
@@ -79,8 +79,8 @@ class Observation:
     @classmethod
     def sidecars_only(cls, spans=None, learner=None) -> "Observation":
         """An observation carrying only sidecar sinks (spans and/or the
-        learner telemetry), with ``enabled`` forced False — the packed
-        fast path, event emission and metrics behave exactly as with
+        learner telemetry), with ``enabled`` forced False — native span
+        kernels, event emission and metrics behave exactly as with
         :data:`NULL_OBS` while the sidecars still record."""
         obs = cls(spans=spans, learner=learner)
         obs.enabled = False

@@ -58,9 +58,9 @@ class CachePolicy(ABC):
         self.tracer: DecisionTracer | None = None
         #: Victim collector; a list only while a traced admission runs.
         self._trace_victims: list[int] | None = None
-        #: True when this instance must not run a native scalar kernel
-        #: (see ``_restrict_scalar_kernel``).
-        self._scalar_kernel_blocked = False
+        #: The exact classes a native ``replay_span`` was written for;
+        #: empty for policies without one (see ``_pin_span_kernel``).
+        self._kernel_classes: tuple[type, ...] = ()
 
     # ------------------------------------------------------------------
     # Public interface
@@ -145,82 +145,47 @@ class CachePolicy(ABC):
         )
         return False
 
-    def request_scalar(
-        self, obj_id: int, size: int, time: float, index: int = -1
-    ) -> bool:
-        """Process one request given as scalars; return True on a hit.
-
-        This is the columnar engine's entry point: ``replay_into`` drives
-        a :class:`~repro.traces.packed.PackedTrace` through it without
-        allocating per-request ``Request`` objects.  The default shim
-        materializes a ``Request`` and defers to :meth:`request`, so every
-        policy supports the fast path out of the box; hot policies
-        override it with an allocation-free kernel that replicates the
-        ``request`` control flow exactly (the equivalence suite pins the
-        two paths to bit-identical hit/miss streams).
-
-        While a tracer or an enabled observation handle is attached, any
-        native kernel is shadowed back to this shim through the instance
-        dict — kernels skip tracing hooks and eviction-pressure events,
-        so instrumented runs must flow through ``request``.
-        """
-        return self.request(Request(time, obj_id, size, index))
-
     def replay_span(self, obj_ids, sizes, times, begin: int, end: int) -> None:
         """Replay requests ``[begin, end)`` given as parallel scalar columns.
 
-        The columnar engine feeds whole bookkeeping-free chunks through
-        this so policies can amortize dispatch: the default walks the span
-        through :meth:`request_scalar` (honouring any instance-pinned
-        shim), while hot policies override it with a loop whose state
-        lives entirely in locals and whose counters are written back once
-        at the span edge.  The engine only reads counters at span
+        The engine feeds every trace through this, one bookkeeping-free
+        chunk per call.  This base walker builds a ``Request`` per
+        request and calls :meth:`request`, so it is exact for every
+        policy and carries every hook, decision record and event.  Hot
+        policies override it with a span kernel: ``request`` with their
+        hooks inlined, state held in locals and counters written back
+        once at the span edge.  The engine reads counters only at span
         boundaries, so deferred write-back is observationally identical.
+        ``_pin_span_kernel`` decides which of the two runs.
         """
-        request_scalar = self.request_scalar
+        request = self.request
         for i in range(begin, end):
-            request_scalar(obj_ids[i], sizes[i], times[i], i)
+            request(Request(times[i], obj_ids[i], sizes[i], i))
 
-    def _restrict_scalar_kernel(self, *kernel_classes: type) -> None:
-        """Keep a subclass off an inherited native scalar kernel.
+    def _pin_span_kernel(self, *kernel_classes: type) -> None:
+        """The pin rule: keep this instance on the base walker unless its
+        native span kernel is safe to run.
 
-        A native ``request_scalar`` (or ``replay_span``) inlines the base
-        control flow and the parent's hooks; a subclass overriding any
-        hook (or ``request`` itself) would silently lose its behaviour on
-        the fast path.  Kernel-bearing classes call this from
-        ``__init__`` with the exact classes the kernel was written for;
-        any other ``type(self)`` gets the safe ``Request``-wrapping shim
-        pinned instead.
+        A span kernel inlines the base control flow and its class's
+        hooks, and skips decision tracing and eviction-pressure events.
+        So the walker is pinned through the instance dict while a tracer
+        or an enabled observation is attached, and whenever ``type(self)``
+        is not one of the classes the kernel was written for (a subclass
+        overriding a hook or ``request`` would silently lose it).
+        Kernel-bearing classes call this from ``__init__`` with those
+        exact classes; ``attach_observation``/``attach_tracer`` call it
+        again, and detaching restores the kernel.
         """
-        if type(self) not in kernel_classes:
-            self._scalar_kernel_blocked = True
-            self.__dict__["request_scalar"] = CachePolicy.request_scalar.__get__(
-                self
-            )
-            self.__dict__["replay_span"] = CachePolicy.replay_span.__get__(self)
-
-    def _sync_scalar_dispatch(self) -> None:
-        """Pin or unpin the scalar shim to match instrumentation state.
-
-        Called by ``attach_observation``/``attach_tracer``: native kernels
-        bypass decision tracing and eviction-pressure events, so while
-        either is active ``request_scalar`` and ``replay_span`` must
-        resolve to the base implementations (which route through
-        ``request``).  Detaching restores the class kernels unless the
-        instance is permanently restricted.
-        """
+        if kernel_classes:
+            self._kernel_classes = kernel_classes
         if (
-            self._scalar_kernel_blocked
-            or self.tracer is not None
-            or self.obs.enabled
+            type(self) in self._kernel_classes
+            and self.tracer is None
+            and not self.obs.enabled
         ):
-            self.__dict__["request_scalar"] = CachePolicy.request_scalar.__get__(
-                self
-            )
-            self.__dict__["replay_span"] = CachePolicy.replay_span.__get__(self)
-        else:
-            self.__dict__.pop("request_scalar", None)
             self.__dict__.pop("replay_span", None)
+        else:
+            self.__dict__["replay_span"] = CachePolicy.replay_span.__get__(self)
 
     def process(self, requests) -> None:
         """Convenience: run a request iterable through the cache."""
@@ -253,7 +218,7 @@ class CachePolicy(ABC):
         handle; they must call ``super().attach_observation(obs)``.
         """
         self.obs = obs
-        self._sync_scalar_dispatch()
+        self._pin_span_kernel()
 
     def attach_tracer(self, tracer: DecisionTracer | None) -> None:
         """Record every admission/eviction decision into ``tracer``.
@@ -270,7 +235,7 @@ class CachePolicy(ABC):
         self.tracer = tracer
         if tracer is None:
             self.__dict__.pop("request", None)
-            self._sync_scalar_dispatch()
+            self._pin_span_kernel()
             return
         if type(self).request is not CachePolicy.request:
             raise ValueError(
@@ -279,7 +244,7 @@ class CachePolicy(ABC):
                 "only policies on the base control flow"
             )
         self.request = self._request_traced
-        self._sync_scalar_dispatch()
+        self._pin_span_kernel()
 
     def decision_inputs(
         self, req: Request

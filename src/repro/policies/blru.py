@@ -35,7 +35,7 @@ class BloomLruCache(CachePolicy):
         self._current = BloomFilter(rotation_items, false_positive_rate)
         self._previous: BloomFilter | None = None
         self._order: OrderedDict[int, None] = OrderedDict()
-        self._restrict_scalar_kernel(BloomLruCache)
+        self._pin_span_kernel(BloomLruCache)
 
     def _seen_before(self, obj_id: int) -> bool:
         if obj_id in self._current:
@@ -65,51 +65,12 @@ class BloomLruCache(CachePolicy):
     def _select_victim(self, incoming: Request) -> int:
         return next(iter(self._order))
 
-    def request_scalar(
-        self, obj_id: int, size: int, time: float, index: int = -1
-    ) -> bool:
-        # Native kernel mirroring CachePolicy.request + the B-LRU hooks.
-        current = self._current
-        if len(current) >= self._rotation_items:
-            self._previous = current
-            current = BloomFilter(self._rotation_items, self._fpr)
-            self._current = current
-        sizes = self._sizes
-        order = self._order
-        if obj_id in sizes:
-            self.hits += 1
-            self.hit_bytes += size
-            order.move_to_end(obj_id)
-            current.add(obj_id)
-            return True
-        self.misses += 1
-        self.miss_bytes += size
-        capacity = self.capacity
-        if size <= capacity:
-            # The admission gate's bloom insertion only happens for
-            # objects that could fit — base request() short-circuits
-            # ``_should_admit`` on oversized objects.
-            seen = obj_id in current or (
-                self._previous is not None and obj_id in self._previous
-            )
-            current.add(obj_id)
-            if seen:
-                used = self._used + size
-                while used > capacity:
-                    victim, _ = order.popitem(last=False)
-                    used -= sizes.pop(victim)
-                    self.evictions += 1
-                self._used = used
-                sizes[obj_id] = size
-                self.admissions += 1
-                order[obj_id] = None
-        return False
-
     def replay_span(self, obj_ids, sizes_col, times, begin: int, end: int) -> None:
-        # Native span kernel: the scalar kernel's loop with the hot names
-        # in locals and counters written back once at the span edge.  The
-        # rotation check re-reads the live filter each iteration, so the
-        # two-generation hand-off behaves exactly as on the object path.
+        # Native span kernel: CachePolicy.request with the B-LRU hooks
+        # inlined, the hot names in locals and counters written back once
+        # at the span edge.  The rotation check re-reads the live filter
+        # each iteration, so the two-generation hand-off behaves exactly as
+        # in ``request``.
         rotation_items = self._rotation_items
         fpr = self._fpr
         sizes = self._sizes
@@ -137,6 +98,9 @@ class BloomLruCache(CachePolicy):
                 misses += 1
                 miss_bytes += size
                 if size <= capacity:
+                    # The admission gate's bloom insertion only happens for
+                    # objects that could fit — base request() short-circuits
+                    # ``_should_admit`` on oversized objects.
                     seen = obj_id in current or (
                         self._previous is not None and obj_id in self._previous
                     )

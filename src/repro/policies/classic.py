@@ -71,7 +71,7 @@ class LruCache(CachePolicy):
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._order: OrderedDict[int, None] = OrderedDict()
-        self._restrict_scalar_kernel(LruCache)
+        self._pin_span_kernel(LruCache)
 
     def _on_hit(self, req: Request) -> None:
         self._order.move_to_end(req.obj_id)
@@ -85,37 +85,11 @@ class LruCache(CachePolicy):
     def _select_victim(self, incoming: Request) -> int:
         return next(iter(self._order))
 
-    def request_scalar(
-        self, obj_id: int, size: int, time: float, index: int = -1
-    ) -> bool:
-        # Native kernel: CachePolicy.request with the LRU hooks inlined.
-        # The equivalence suite pins it bit-identical to the object path.
-        sizes = self._sizes
-        order = self._order
-        if obj_id in sizes:
-            self.hits += 1
-            self.hit_bytes += size
-            order.move_to_end(obj_id)
-            return True
-        self.misses += 1
-        self.miss_bytes += size
-        capacity = self.capacity
-        if size <= capacity:
-            used = self._used + size
-            while used > capacity:
-                victim, _ = order.popitem(last=False)
-                used -= sizes.pop(victim)
-                self.evictions += 1
-            self._used = used
-            sizes[obj_id] = size
-            self.admissions += 1
-            order[obj_id] = None
-        return False
-
     def replay_span(self, obj_ids, sizes_col, times, begin: int, end: int) -> None:
-        # Native span kernel: the scalar kernel's loop with every hot name
-        # held in a local and the counters written back once at the span
-        # edge — the engine reads them only at span boundaries.
+        # Native span kernel: CachePolicy.request with the LRU hooks
+        # inlined, every hot name held in a local and the counters written
+        # back once at the span edge — the engine reads them only at span
+        # boundaries.
         sizes = self._sizes
         order = self._order
         move_to_end = order.move_to_end
@@ -175,7 +149,7 @@ class LruKCache(CachePolicy):
         #: maxlen-bounded and never shrink, so the count only grows).
         self._history_slots = 0
         self._heap = _PriorityIndex()
-        self._restrict_scalar_kernel(LruKCache)
+        self._pin_span_kernel(LruKCache)
 
     def _on_access(self, req: Request) -> None:
         times = self._history.get(req.obj_id)
@@ -206,48 +180,10 @@ class LruKCache(CachePolicy):
         # (the heap's FIFO tie-break approximates LRU among them).
         return self._heap.peek_min()
 
-    def request_scalar(
-        self, obj_id: int, size: int, time: float, index: int = -1
-    ) -> bool:
-        # Native kernel mirroring CachePolicy.request + the LRU-K hooks.
-        k = self.k
-        times = self._history.get(obj_id)
-        if times is None:
-            times = deque(maxlen=k)
-            self._history[obj_id] = times
-        if len(times) < k:
-            self._history_slots += 1
-        times.append(time)
-        sizes = self._sizes
-        heap = self._heap
-        if obj_id in sizes:
-            heap.update(obj_id, times[0] if len(times) == k else -np.inf)
-            self.hits += 1
-            self.hit_bytes += size
-            return True
-        self.misses += 1
-        self.miss_bytes += size
-        capacity = self.capacity
-        if size <= capacity:
-            used = self._used + size
-            while used > capacity:
-                victim = heap.peek_min()
-                if victim not in sizes:
-                    raise RuntimeError(
-                        f"{self.name}: victim {victim} is not cached"
-                    )
-                used -= sizes.pop(victim)
-                self.evictions += 1
-                heap.discard(victim)
-            self._used = used
-            sizes[obj_id] = size
-            self.admissions += 1
-            heap.update(obj_id, times[0] if len(times) == k else -np.inf)
-        return False
-
     def replay_span(self, obj_ids, sizes_col, times, begin: int, end: int) -> None:
-        # Native span kernel: the scalar kernel's loop with the hot names
-        # in locals and counters written back once at the span edge.
+        # Native span kernel: CachePolicy.request with the LRU-K hooks
+        # inlined, the hot names in locals and counters written back once
+        # at the span edge.
         k = self.k
         history = self._history
         history_get = history.get
@@ -351,7 +287,7 @@ class LfuDaCache(CachePolicy):
         self._counts: dict[int, int] = {}
         self._heap = _PriorityIndex()
         self._age = 0.0
-        self._restrict_scalar_kernel(LfuDaCache)
+        self._pin_span_kernel(LfuDaCache)
 
     def _priority(self, obj_id: int) -> float:
         return self._counts.get(obj_id, 0) + self._age
@@ -372,45 +308,10 @@ class LfuDaCache(CachePolicy):
         self._age = self._heap.priority(victim)
         return victim
 
-    def request_scalar(
-        self, obj_id: int, size: int, time: float, index: int = -1
-    ) -> bool:
-        # Native kernel mirroring CachePolicy.request + the LFU-DA hooks.
-        counts = self._counts
-        count = counts.get(obj_id, 0) + 1
-        counts[obj_id] = count
-        sizes = self._sizes
-        heap = self._heap
-        if obj_id in sizes:
-            heap.update(obj_id, count + self._age)
-            self.hits += 1
-            self.hit_bytes += size
-            return True
-        self.misses += 1
-        self.miss_bytes += size
-        capacity = self.capacity
-        if size <= capacity:
-            used = self._used + size
-            while used > capacity:
-                victim = heap.peek_min()
-                self._age = heap.priority(victim)
-                if victim not in sizes:
-                    raise RuntimeError(
-                        f"{self.name}: victim {victim} is not cached"
-                    )
-                used -= sizes.pop(victim)
-                self.evictions += 1
-                heap.discard(victim)
-            self._used = used
-            sizes[obj_id] = size
-            self.admissions += 1
-            heap.update(obj_id, count + self._age)
-        return False
-
     def replay_span(self, obj_ids, sizes_col, times, begin: int, end: int) -> None:
-        # Native span kernel: the scalar kernel's loop with the hot names
-        # in locals; the aging factor rides in a local too and is written
-        # back with the counters at the span edge.
+        # Native span kernel: CachePolicy.request with the LFU-DA hooks
+        # inlined and the hot names in locals; the aging factor rides in a
+        # local too and is written back with the counters at the span edge.
         counts = self._counts
         counts_get = counts.get
         sizes = self._sizes

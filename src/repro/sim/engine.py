@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 
 from repro.obs import NULL_OBS, Observation
-from repro.obs.spans import NULL_SPANS
 from repro.obs.trace import DecisionTracer
 from repro.policies.base import CachePolicy
 from repro.sim.metrics import SimulationResult, WindowMetrics
@@ -43,12 +42,13 @@ def simulate(
     policy:
         A fresh policy instance (the engine does not reset state).
     trace:
-        The request stream — a reference ``Trace`` or a columnar
-        :class:`~repro.traces.packed.PackedTrace`.  A packed trace runs
-        the allocation-free scalar loop when no instrumentation is
-        attached, and is transparently unpacked to the reference object
-        path otherwise (tracing and observation always see ``Request``
-        objects).
+        The request stream — a ``Trace`` or a columnar
+        :class:`~repro.traces.packed.PackedTrace`.  Both replay through
+        the same chunked loop (``replay_into``); a ``Trace`` is packed
+        first.  Which code runs per request — a native span kernel or
+        ``request`` itself — depends only on the policy and on whether a
+        tracer or an enabled observation is attached, never on the
+        trace's form.
     window_requests:
         If > 0, collect per-window hit series every this many requests
         (the Figure 7 time series).
@@ -77,8 +77,8 @@ def simulate(
         When ``heartbeat_interval > 0``, call ``heartbeat(requests_done)``
         every that many replayed requests — the hook live progress rides
         on (sweep worker heartbeats, the CLI's ``--serve`` progress).
-        Disabled (interval 0) the loop carries only a falsy-int check,
-        same cost class as the window rollover guard.
+        Disabled (interval 0) the loop carries only a falsy-int check
+        per chunk, like the window rollover guard.
     """
     if warmup_requests < 0:
         raise ValueError("warmup_requests must be non-negative")
@@ -135,20 +135,32 @@ def replay_into(
     heartbeat=None,
     heartbeat_interval: int = 0,
 ) -> SimulationResult:
-    """The inner replay loop: feed ``trace`` through ``policy`` and
-    accumulate into ``result``.
+    """The replay loop: feed ``trace`` through ``policy`` and accumulate
+    into ``result``.
 
     Assumes arguments were validated by the caller (``simulate`` does).
-    The per-request loop carries zero instrumentation overhead when
-    ``obs`` is disabled: window events ride the existing window-rollover
-    branch and everything else happens once, outside the loop.  A
-    ``tracer`` is attached to the policy once here; recording happens
-    inside ``CachePolicy.request``.
+    A ``Trace`` is packed first.  The loop walks the packed columns in
+    chunks whose boundaries land exactly on every bookkeeping point —
+    metadata probes after index ``i % interval == 0``, window rollovers
+    every ``window_requests``, heartbeats at ``(i + 1) %
+    heartbeat_interval == 0`` and the warmup edge — and hands each chunk
+    to ``policy.replay_span`` in one call, so span-kernel policies pay
+    Python dispatch per chunk, not per request.  All aggregate and
+    window accounting is reconstructed from the policy's own monotone
+    counters as deltas at those boundaries: every request adds its size
+    to exactly one of ``hit_bytes``/``miss_bytes``, so byte and hit
+    totals over any index range are counter differences.
 
-    A :class:`PackedTrace` takes the columnar fast path
-    (:func:`_replay_packed`) unless the policy carries a tracer or an
-    enabled observation handle — instrumented runs always replay the
-    reference object path, so the packed trace is unpacked first.
+    ``replay_span`` is the policy's native span kernel or the base
+    walker, which calls ``request`` per request.  Attaching ``tracer``
+    or an enabled ``obs`` pins the walker (``CachePolicy._pin_span_kernel``),
+    so decision records and policy events come from ``request`` itself.
+    Everything else the loop records costs one check per chunk, never
+    per request: ``sim.window`` events at each window rollover while
+    ``obs`` is enabled, the ``sim.replay``/``sim.warmup``/``sim.window``
+    spans plus one ``sim.chunk`` span per ``replay_span`` call while
+    ``obs.spans`` records, and the ``sim_*`` registry metrics once at the
+    end.
     """
     observing = obs.enabled
     spans = obs.spans
@@ -159,178 +171,19 @@ def replay_into(
         # attaches: LHR's window-close spans flow through
         # ``policy.obs.spans`` and the learner sink collects at window
         # close via ``policy.obs.learner``.  Its ``enabled`` stays
-        # False, so native kernels and the packed path are unaffected.
+        # False, so native kernels are unaffected.
         policy.attach_observation(obs)
     if tracer is not None:
         policy.attach_tracer(tracer)
-    if isinstance(trace, PackedTrace):
-        if policy.tracer is None and not policy.obs.enabled and not observing:
-            _replay_packed(
-                policy,
-                trace,
-                result,
-                window_requests=window_requests,
-                warmup_requests=warmup_requests,
-                metadata_probe_interval=metadata_probe_interval,
-                heartbeat=heartbeat,
-                heartbeat_interval=heartbeat_interval,
-                spans=spans,
-            )
-            if learner_on:
-                result.learner = obs.learner.series(
-                    policy.name, policy.capacity
-                )
-            return result
-        trace = trace.unpack()
-    replay_span = warmup_span = window_span = None
-    # Falsy-int warmup-edge guard, same cost class as the heartbeat
-    # check: zero unless spans are on AND a warmup is configured.
-    pending_warmup = 0
-    if spans_on:
-        replay_span = spans.begin(
-            "sim.replay",
-            cat="sim",
-            policy=policy.name,
-            trace=trace.name,
-            requests=len(trace),
-        )
-        if warmup_requests:
-            warmup_span = spans.begin(
-                "sim.warmup", cat="sim", requests=warmup_requests
-            )
-            pending_warmup = warmup_requests
-    window: WindowMetrics | None = None
-    evict_mark = 0
-    start = time.perf_counter()
-    peak_metadata = 0
-    for i, req in enumerate(trace):
-        if window_requests and (window is None or window.requests >= window_requests):
-            if window is not None:
-                # Eviction pressure per window: delta of the policy's
-                # monotone eviction counter at the window edges.
-                window.evictions = policy.evictions - evict_mark
-                if observing:
-                    _emit_window(obs, window)
-            evict_mark = policy.evictions
-            if spans_on:
-                if window_span is not None:
-                    spans.end(window_span)
-                window_span = spans.begin(
-                    "sim.window", cat="sim", index=len(result.windows)
-                )
-            window = WindowMetrics(index=len(result.windows))
-            result.windows.append(window)
-        hit = policy.request(req)
-        if i >= warmup_requests:
-            result.requests += 1
-            result.total_bytes += req.size
-            if hit:
-                result.hits += 1
-                result.hit_bytes += req.size
-        if window is not None:
-            window.requests += 1
-            window.total_bytes += req.size
-            if hit:
-                window.hits += 1
-                window.hit_bytes += req.size
-        if metadata_probe_interval and i % metadata_probe_interval == 0:
-            peak_metadata = max(peak_metadata, policy.metadata_bytes())
-        if heartbeat_interval and (i + 1) % heartbeat_interval == 0:
-            heartbeat(i + 1)
-        if pending_warmup and (i + 1) == pending_warmup:
-            spans.end(warmup_span)
-            pending_warmup = 0
-    result.runtime_seconds = time.perf_counter() - start
-    result.peak_metadata_bytes = max(peak_metadata, policy.metadata_bytes())
-    result.evictions = policy.evictions
-    result.admissions = policy.admissions
-    if window is not None:
-        window.evictions = policy.evictions - evict_mark
-    if spans_on:
-        if window_span is not None:
-            spans.end(window_span)
-        if pending_warmup:  # trace ended inside warmup (callers validate)
-            spans.end(warmup_span)
-        spans.end(
-            replay_span, requests=result.requests, hits=result.hits
-        )
-    if tracer is not None:
-        result.decision_trace = tracer
-    if observing:
-        if window is not None and window.requests:
-            _emit_window(obs, window)
-        registry = obs.registry
-        registry.histogram(
-            "sim_replay_seconds", help="wall-clock seconds per replay loop"
-        ).observe(result.runtime_seconds)
-        registry.counter(
-            "sim_requests_total", help="measured (post-warmup) requests replayed"
-        ).inc(result.requests)
-        registry.counter("sim_hits_total", help="measured cache hits").inc(
-            result.hits
-        )
-        registry.counter("sim_evictions_total", help="evictions performed").inc(
-            result.evictions
-        )
-        registry.counter("sim_admissions_total", help="objects admitted").inc(
-            result.admissions
-        )
-        registry.gauge(
-            "sim_peak_metadata_bytes", help="peak sampled policy metadata"
-        ).max(result.peak_metadata_bytes)
-    if learner_on:
-        # Stamp the per-window learner series onto the result so sweeps
-        # carry it across the worker->driver pipe like decision traces.
-        result.learner = obs.learner.series(policy.name, policy.capacity)
-    return result
-
-
-def _replay_packed(
-    policy: CachePolicy,
-    packed: PackedTrace,
-    result: SimulationResult,
-    window_requests: int = 0,
-    warmup_requests: int = 0,
-    metadata_probe_interval: int = 1000,
-    heartbeat=None,
-    heartbeat_interval: int = 0,
-    spans=None,
-) -> SimulationResult:
-    """Columnar replay: drive ``request_scalar`` straight from the packed
-    scalar columns, no per-request ``Request`` allocation.
-
-    ``spans`` (a :class:`~repro.obs.spans.SpanRecorder` or the default
-    no-op) records the timeline at chunk granularity — one ``sim.chunk``
-    span per ``replay_span`` call, plus the replay/warmup envelopes.
-    Chunk boundaries already land on the warmup edge and window
-    rollovers, so the chunked timeline aligns with the object loop's
-    phases; when disabled the loop pays one boolean check per *chunk*,
-    not per request.
-
-    Equivalence with the object loop is by construction and pinned by
-    ``tests/sim/test_fastpath.py``: the trace is processed in chunks
-    whose boundaries land exactly on the object loop's bookkeeping
-    points (metadata probes after index ``i % interval == 0``, window
-    rollovers every ``window_requests``, heartbeats at
-    ``(i + 1) % heartbeat_interval == 0``, the warmup edge), and all
-    aggregate/window accounting is reconstructed from the policy's own
-    monotone counters as deltas at those boundaries — every request adds
-    its size to exactly one of ``hit_bytes``/``miss_bytes``, so byte and
-    hit totals over any index range are counter differences.  Each chunk
-    goes through ``policy.replay_span`` in one call, so span-kernel
-    policies pay Python dispatch per chunk, not per request.
-    """
+    packed = trace if isinstance(trace, PackedTrace) else PackedTrace.from_trace(trace)
     obj_ids, sizes, times = packed.scalar_columns()
     total = len(obj_ids)
     replay_span = policy.replay_span
     interval = metadata_probe_interval
     warmup = min(warmup_requests, total)
-    if spans is None:
-        spans = NULL_SPANS
-    spans_on = spans.enabled
-    replay_span_handle = warmup_span_handle = None
+    replay_handle = warmup_handle = window_handle = None
     if spans_on:
-        replay_span_handle = spans.begin(
+        replay_handle = spans.begin(
             "sim.replay",
             cat="sim",
             policy=policy.name,
@@ -339,9 +192,7 @@ def _replay_packed(
             packed=True,
         )
         if warmup:
-            warmup_span_handle = spans.begin(
-                "sim.warmup", cat="sim", requests=warmup
-            )
+            warmup_handle = spans.begin("sim.warmup", cat="sim", requests=warmup)
     # Measured-aggregate base: counters at the warmup edge (policies may
     # enter with non-zero totals; resumable replays accumulate).
     base_hits = policy.hits
@@ -361,6 +212,14 @@ def _replay_packed(
                 stop = aligned
         if window_requests:
             if i % window_requests == 0:
+                if window is not None and observing:
+                    _emit_window(obs, window)
+                if spans_on:
+                    if window_handle is not None:
+                        spans.end(window_handle)
+                    window_handle = spans.begin(
+                        "sim.window", cat="sim", index=len(result.windows)
+                    )
                 window = WindowMetrics(index=len(result.windows))
                 result.windows.append(window)
                 window_begin = i
@@ -393,9 +252,9 @@ def _replay_packed(
             base_hits = policy.hits
             base_hit_bytes = policy.hit_bytes
             base_bytes = policy.hit_bytes + policy.miss_bytes
-            if warmup_span_handle is not None:
-                spans.end(warmup_span_handle)
-                warmup_span_handle = None
+            if warmup_handle is not None:
+                spans.end(warmup_handle)
+                warmup_handle = None
         if interval and (stop - 1) % interval == 0:
             metadata = policy.metadata_bytes()
             if metadata > peak_metadata:
@@ -412,9 +271,37 @@ def _replay_packed(
     result.hit_bytes += policy.hit_bytes - base_hit_bytes
     result.total_bytes += policy.hit_bytes + policy.miss_bytes - base_bytes
     if spans_on:
-        if warmup_span_handle is not None:
-            spans.end(warmup_span_handle)
-        spans.end(
-            replay_span_handle, requests=result.requests, hits=result.hits
+        if window_handle is not None:
+            spans.end(window_handle)
+        if warmup_handle is not None:
+            spans.end(warmup_handle)
+        spans.end(replay_handle, requests=result.requests, hits=result.hits)
+    if tracer is not None:
+        result.decision_trace = tracer
+    if observing:
+        if window is not None:
+            _emit_window(obs, window)
+        registry = obs.registry
+        registry.histogram(
+            "sim_replay_seconds", help="wall-clock seconds per replay loop"
+        ).observe(result.runtime_seconds)
+        registry.counter(
+            "sim_requests_total", help="measured (post-warmup) requests replayed"
+        ).inc(result.requests)
+        registry.counter("sim_hits_total", help="measured cache hits").inc(
+            result.hits
         )
+        registry.counter("sim_evictions_total", help="evictions performed").inc(
+            result.evictions
+        )
+        registry.counter("sim_admissions_total", help="objects admitted").inc(
+            result.admissions
+        )
+        registry.gauge(
+            "sim_peak_metadata_bytes", help="peak sampled policy metadata"
+        ).max(result.peak_metadata_bytes)
+    if learner_on:
+        # Stamp the per-window learner series onto the result so sweeps
+        # carry it across the worker->driver pipe like decision traces.
+        result.learner = obs.learner.series(policy.name, policy.capacity)
     return result

@@ -86,6 +86,12 @@ class InstrumentedPolicy:
         for req in requests:
             self.request(req)
 
+    def replay_span(self, obj_ids, sizes, times, begin: int, end: int) -> None:
+        """The engine's entry point: the base walker over this wrapper's
+        ``request``, so ``simulate`` records diagnostics too (the inner
+        policy's span kernel would bypass the wrapper)."""
+        CachePolicy.replay_span(self, obj_ids, sizes, times, begin, end)
+
     # ------------------------------------------------------------------
     # Pass-throughs so the wrapper quacks like the inner policy.
     # ------------------------------------------------------------------

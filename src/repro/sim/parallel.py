@@ -15,9 +15,9 @@ worker processes.  Design constraints, in order:
   initializer, so the request stream crosses the process boundary zero
   times (a short descriptor pickles instead).  Platforms without usable
   shared memory fall back to pickling the packed arrays once per worker.
-  Workers replay the columns directly through the engine's scalar fast
-  path; cells that need ``Request`` objects (observed or traced runs)
-  unpack once per worker and reuse the rebuilt ``Trace``.
+  Workers replay the shared columns directly through the engine's one
+  chunked loop, observed and traced cells included: instrumentation
+  only pins the policy onto the base walker, it never changes the trace.
 * **Failure containment** — a cell that raises is captured in the worker
   (policy name, capacity and full traceback) and reported after every
   sibling cell has finished; one bad cell never hangs the pool or
@@ -169,15 +169,10 @@ class SweepCellError(RuntimeError):
 # Worker side
 # ----------------------------------------------------------------------
 
-#: The shared trace, installed once per worker by the pool initializer
-#: (or pointed at the caller's trace directly for in-process execution).
-#: Workers hold the columnar representation; cells that need ``Request``
-#: objects go through :func:`_cell_trace`.
-_WORKER_TRACE: Trace | PackedTrace | None = None
-
-#: Worker-local cache of the unpacked ``Trace`` — built at most once per
-#: worker, only when an observed/traced cell needs the object path.
-_WORKER_UNPACKED: Trace | None = None
+#: The shared packed trace, installed once per worker by the pool
+#: initializer (or pointed at the caller's trace, packed once, for
+#: in-process execution).
+_WORKER_TRACE: PackedTrace | None = None
 
 #: The worker's handle on the shared-memory segment; kept alive for the
 #: worker's lifetime because dropping it invalidates the mapped columns.
@@ -189,9 +184,8 @@ _WORKER_HEARTBEAT_QUEUE = None
 
 
 def _init_worker(packed: PackedTrace, heartbeat_queue=None) -> None:
-    global _WORKER_TRACE, _WORKER_UNPACKED, _WORKER_HEARTBEAT_QUEUE
+    global _WORKER_TRACE, _WORKER_HEARTBEAT_QUEUE
     _WORKER_TRACE = packed
-    _WORKER_UNPACKED = None
     _WORKER_HEARTBEAT_QUEUE = heartbeat_queue
 
 
@@ -204,18 +198,6 @@ def _init_worker_shared(
     packed, shm = attach_shared_trace(descriptor)
     _WORKER_SHM = shm
     _init_worker(packed, heartbeat_queue)
-
-
-def _cell_trace(needs_objects: bool) -> Trace | PackedTrace:
-    """The worker's trace, unpacked on demand (and cached) when a cell
-    runs observed/traced and therefore replays the object path."""
-    global _WORKER_UNPACKED
-    trace = _WORKER_TRACE
-    if not needs_objects or not isinstance(trace, PackedTrace):
-        return trace
-    if _WORKER_UNPACKED is None:
-        _WORKER_UNPACKED = trace.unpack()
-    return _WORKER_UNPACKED
 
 
 #: One worker cell's outcome:
@@ -300,15 +282,15 @@ def _run_cell(
     in one ``cat="cell"`` span (plus the engine/LHR spans beneath it);
     the recorded dicts ride the outcome tuple back for the driver to
     absorb into one multi-process timeline.  Span recording alone does
-    not force the object path: a spans-only observation keeps
-    ``enabled`` False, so packed cells stay on the scalar fast path.
+    not pin the base walker: a spans-only observation keeps ``enabled``
+    False, so native span kernels stay engaged.
 
     When ``record_learner`` is set, the cell runs with its own
     :class:`~repro.obs.learner.LearnerTelemetry` sink; the engine stamps
     the per-window series onto ``result.learner``, which rides the
     outcome's result slot back for the driver to absorb grid-ordered.
-    Like spans, learner telemetry alone keeps ``enabled`` False — the
-    scalar fast path and accounting stay bit-identical.
+    Like spans, learner telemetry alone keeps ``enabled`` False — native
+    span kernels stay engaged and accounting stays bit-identical.
     """
     span_recorder = SpanRecorder(role="worker") if record_spans else None
     learner = LearnerTelemetry() if record_learner else None
@@ -341,7 +323,7 @@ def _run_cell(
         heartbeat = _heartbeat_for(spec, policy, heartbeat_interval, heartbeat_sink)
         result = simulate(
             policy,
-            _cell_trace(observe or trace_config is not None),
+            _WORKER_TRACE,
             window_requests=window_requests,
             warmup_requests=warmup_requests,
             obs=cell_obs,
@@ -580,12 +562,13 @@ def _run_inline(
     With a tracker, heartbeats skip the queue and feed it directly.
     ``learner_hub`` (the driver's learner sink) receives each cell's
     series as the cell completes, so a live ``/learner`` scrape during a
-    serial sweep sees the finished cells."""
-    global _WORKER_TRACE, _WORKER_UNPACKED
+    serial sweep sees the finished cells.  A ``Trace`` is packed once
+    here, not once per cell."""
+    global _WORKER_TRACE
     previous = _WORKER_TRACE
-    previous_unpacked = _WORKER_UNPACKED
-    _WORKER_TRACE = trace
-    _WORKER_UNPACKED = None
+    _WORKER_TRACE = (
+        trace if isinstance(trace, PackedTrace) else PackedTrace.from_trace(trace)
+    )
     sink = (
         (lambda message: progress.heartbeat(**message))
         if progress is not None
@@ -607,7 +590,6 @@ def _run_inline(
         return outcomes
     finally:
         _WORKER_TRACE = previous
-        _WORKER_UNPACKED = previous_unpacked
 
 
 def _track_outcome(progress: ProgressTracker, outcome: CellOutcome) -> None:
@@ -923,10 +905,10 @@ def _replay_shard(
     warmup edge (located locally via ``searchsorted``), and metadata is
     probed after exactly the requests the unsharded packed loop probes
     after (global index multiple of the probe interval) — so with one
-    shard this reproduces ``_replay_packed``'s result field for field.
+    shard this reproduces ``replay_into``'s result field for field.
 
     Accounting is pure counter deltas at the edge snapshots, the same
-    discipline ``_replay_packed`` uses, so any policy whose
+    discipline ``replay_into`` uses, so any policy whose
     ``replay_span`` is exact at arbitrary chunkings (the fast-path
     contract) is exact here too.
     """
@@ -1184,11 +1166,9 @@ def _run_shards_inline(
     metadata_probe_interval: int,
 ) -> list[tuple[int, SimulationResult | None, CellFailure | None]]:
     """Serial shard execution through the worker code path."""
-    global _WORKER_TRACE, _WORKER_UNPACKED
+    global _WORKER_TRACE
     previous = _WORKER_TRACE
-    previous_unpacked = _WORKER_UNPACKED
     _WORKER_TRACE = packed
-    _WORKER_UNPACKED = None
     try:
         return [
             _run_shard(
@@ -1198,7 +1178,6 @@ def _run_shards_inline(
         ]
     finally:
         _WORKER_TRACE = previous
-        _WORKER_UNPACKED = previous_unpacked
 
 
 def _run_shards_pooled(

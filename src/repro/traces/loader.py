@@ -9,8 +9,9 @@ Two on-disk formats are supported:
   simulators the paper builds on.
 
 Both loaders fail closed: a row with an unparsable field, a non-finite or
-negative time, a time below the previous row's, or a non-positive size
-raises ``ValueError`` naming ``path:line``.
+negative time, a time below the previous row's, a non-positive size, or an
+id or size outside int64 (the packed columns every replay runs on) raises
+``ValueError`` naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import math
 from pathlib import Path
 
+from repro.traces.packed import _INT64_MAX, _INT64_MIN
 from repro.traces.request import Request, Trace
 
 
@@ -88,4 +90,7 @@ def _parse_request(fields: list[str], previous: list[Request], where: str) -> Re
         raise ValueError(f"{where}: time {time} decreases from {previous[-1].time}")
     if size <= 0:
         raise ValueError(f"{where}: size must be positive, got {size}")
+    for column, value in (("obj_id", obj_id), ("size", size)):
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise ValueError(f"{where}: {column} {value} does not fit int64")
     return Request(time=time, obj_id=obj_id, size=size, index=len(previous))

@@ -6,16 +6,18 @@ carries the same information as three primitive NumPy columns
 ``(times, obj_ids, sizes)``:
 
 * it pickles in a few contiguous buffers instead of per-object records,
-* :func:`repro.sim.engine.replay_into` drives policies straight from the
-  columns through ``CachePolicy.request_scalar`` — no per-request
-  ``Request`` allocation on the hot path,
+* :func:`repro.sim.engine.replay_into` replays every trace from these
+  columns (a ``Trace`` is packed first), handing chunks to
+  ``CachePolicy.replay_span`` — native span kernels allocate no
+  per-request ``Request`` on the hot path,
 * :class:`SharedTraceBuffers` places the columns in POSIX shared memory
   once so sweep workers map them read-only instead of unpickling their
   own copy of a million-request trace.
 
-The object path remains the semantic reference: ``unpack()`` rebuilds the
-exact ``Trace`` and the equivalence suite (``tests/sim/test_fastpath.py``)
-pins both paths to bit-identical hit/miss streams.
+``CachePolicy.request`` remains the semantic reference: ``unpack()``
+rebuilds the exact ``Trace``, and the equivalence suites
+(``tests/sim/test_fastpath.py``, ``tests/sim/test_span_differential.py``)
+pin every span kernel to bit-identical hit/miss streams.
 """
 
 from __future__ import annotations

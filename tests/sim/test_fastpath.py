@@ -1,11 +1,12 @@
-"""Columnar fast-path equivalence: scalar kernels vs the object path.
+"""Columnar fast-path equivalence: span kernels vs ``request``.
 
 The contract under test (the heart of the array-native replay engine):
 for every registered policy, replaying a ``PackedTrace`` through
-``request_scalar`` produces the *bit-identical* hit/miss stream, counter
+``replay_span`` produces the *bit-identical* hit/miss stream, counter
 set, window series and metadata peaks as replaying the reference
 ``Trace`` through ``request`` — and instrumentation (decision tracing,
-observation) transparently forces the reference path.
+observation) transparently pins the base walker, which calls
+``request`` per request.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import MemoryRecorder, MetricsRegistry, Observation
+from repro.obs import NULL_OBS, MemoryRecorder, MetricsRegistry, Observation
 from repro.obs.trace import TraceConfig
 from repro.policies.base import CachePolicy
 from repro.policies.classic import LruCache
 from repro.sim import known_policies, run_comparison, simulate
 from repro.sim.engine import replay_into
-from repro.sim.metrics import SimulationResult
+from repro.sim.metrics import SimulationResult, WindowMetrics
 from repro.sim.runner import build_policy
 from repro.traces.packed import PackedTrace
 from repro.traces.synthetic import irm_trace
@@ -53,6 +54,68 @@ def _build(name, capacity):
     return build_policy(name, capacity, **POLICY_KWARGS.get(name, {}))
 
 
+def _oracle(
+    policy, trace, window_requests=0, warmup_requests=0,
+    metadata_probe_interval=1000, obs=NULL_OBS, tracer=None,
+):
+    """Per-request reference replay: ``policy.request`` once per request
+    with the engine's window, warmup and metadata-probe accounting.  With
+    an enabled ``obs`` it emits ``sim.window`` at each window rollover and
+    for the last window, as the engine's replay loop always has."""
+    if obs.enabled:
+        policy.attach_observation(obs)
+    if tracer is not None:
+        policy.attach_tracer(tracer)
+    result = SimulationResult(
+        policy=policy.name, trace=trace.name, capacity=policy.capacity
+    )
+
+    def emit(window):
+        obs.emit(
+            "sim.window", index=window.index, requests=window.requests,
+            hits=window.hits, hit_bytes=window.hit_bytes,
+            total_bytes=window.total_bytes,
+            hit_ratio=round(window.hit_ratio, 6),
+        )
+
+    window = None
+    evict_mark = 0
+    peak_metadata = 0
+    for i, req in enumerate(trace):
+        if window_requests and (window is None or window.requests >= window_requests):
+            if window is not None:
+                window.evictions = policy.evictions - evict_mark
+                if obs.enabled:
+                    emit(window)
+            evict_mark = policy.evictions
+            window = WindowMetrics(index=len(result.windows))
+            result.windows.append(window)
+        hit = policy.request(req)
+        if i >= warmup_requests:
+            result.requests += 1
+            result.total_bytes += req.size
+            if hit:
+                result.hits += 1
+                result.hit_bytes += req.size
+        if window is not None:
+            window.requests += 1
+            window.total_bytes += req.size
+            if hit:
+                window.hits += 1
+                window.hit_bytes += req.size
+        if metadata_probe_interval and i % metadata_probe_interval == 0:
+            peak_metadata = max(peak_metadata, policy.metadata_bytes())
+    result.peak_metadata_bytes = max(peak_metadata, policy.metadata_bytes())
+    result.evictions = policy.evictions
+    result.admissions = policy.admissions
+    result.decision_trace = tracer
+    if window is not None:
+        window.evictions = policy.evictions - evict_mark
+        if obs.enabled:
+            emit(window)
+    return result
+
+
 @pytest.mark.parametrize("name", known_policies())
 def test_hit_stream_bit_identical(name, fixture_trace, fixture_capacity):
     """Per-request verdicts — not just totals — must agree exactly."""
@@ -62,9 +125,9 @@ def test_hit_stream_bit_identical(name, fixture_trace, fixture_capacity):
     obj_ids, sizes, times = packed.scalar_columns()
     for index, req in enumerate(fixture_trace):
         hit_ref = reference.request(req)
-        hit_fast = fast.request_scalar(
-            obj_ids[index], sizes[index], times[index], index
-        )
+        hits_before = fast.hits
+        fast.replay_span(obj_ids, sizes, times, index, index + 1)
+        hit_fast = fast.hits > hits_before
         assert hit_ref == hit_fast, f"{name}: verdicts diverge at request {index}"
     assert reference.hits == fast.hits
     assert reference.misses == fast.misses
@@ -81,7 +144,7 @@ def test_hit_stream_bit_identical(name, fixture_trace, fixture_capacity):
 def test_engine_results_bit_identical(name, fixture_trace, fixture_capacity):
     """Full engine runs (windows, warmup, metadata probes) must agree."""
     packed = PackedTrace.from_trace(fixture_trace)
-    ref = simulate(
+    ref = _oracle(
         _build(name, fixture_capacity), fixture_trace,
         window_requests=300, warmup_requests=100, metadata_probe_interval=250,
     )
@@ -151,8 +214,8 @@ def test_warmup_beyond_trace_measures_nothing(fixture_trace, fixture_capacity):
     assert result.total_bytes == 0
 
 
-#: Every policy shipping native ``request_scalar`` + ``replay_span``
-#: kernels; instrumentation must force all of them back onto the shims.
+#: Every policy shipping a native ``replay_span`` kernel; instrumentation
+#: must pin all of them to the base walker.
 NATIVE_KERNEL_POLICIES = ["lru", "lru-2", "lru-4", "lfu-da", "b-lru", "lhr"]
 
 
@@ -160,21 +223,17 @@ class TestInstrumentationForcesReferencePath:
     @pytest.mark.parametrize("name", NATIVE_KERNEL_POLICIES)
     def test_tracer_pins_the_shim(self, name, fixture_capacity):
         policy = _build(name, fixture_capacity)
-        assert "request_scalar" not in policy.__dict__  # native kernels active
-        assert "replay_span" not in policy.__dict__
+        assert "replay_span" not in policy.__dict__  # native kernel active
         policy.attach_tracer(TraceConfig().build())
-        assert "request_scalar" in policy.__dict__  # shims pinned
-        assert "replay_span" in policy.__dict__
+        assert "replay_span" in policy.__dict__  # base walker pinned
         policy.attach_tracer(None)
-        assert "request_scalar" not in policy.__dict__  # kernels restored
-        assert "replay_span" not in policy.__dict__
+        assert "replay_span" not in policy.__dict__  # kernel restored
 
     @pytest.mark.parametrize("name", NATIVE_KERNEL_POLICIES)
     def test_observation_pins_the_shim(self, name, fixture_capacity):
         policy = _build(name, fixture_capacity)
         obs = Observation(recorder=MemoryRecorder(), registry=MetricsRegistry())
         policy.attach_observation(obs)
-        assert "request_scalar" in policy.__dict__
         assert "replay_span" in policy.__dict__
 
     @pytest.mark.parametrize("name", NATIVE_KERNEL_POLICIES)
@@ -188,6 +247,41 @@ class TestInstrumentationForcesReferencePath:
         obs = Observation(recorder=MemoryRecorder(), registry=MetricsRegistry())
         observed = simulate(_build(name, fixture_capacity), packed, obs=obs)
         assert fast.counters() == observed.counters()
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["trace", "packed"])
+    @pytest.mark.parametrize("name", ["lru", "lru-2", "gdsf", "lhr"])
+    def test_instrumented_run_matches_request_oracle(
+        self, name, packed, fixture_trace, fixture_capacity
+    ):
+        """An observed and traced replay (windows, warmup) gives the
+        per-request oracle's ordered event stream, timing fields aside,
+        and its decision records."""
+        kwargs = {"min_window_requests": 100, "window_multiple": 1.0}
+        kwargs = kwargs if name == "lhr" else {}
+        replayed = PackedTrace.from_trace(fixture_trace) if packed else fixture_trace
+        runs = []
+        for replay, trace in ((_oracle, fixture_trace), (simulate, replayed)):
+            obs = Observation(recorder=MemoryRecorder(), registry=MetricsRegistry())
+            result = replay(
+                build_policy(name, fixture_capacity, **kwargs), trace,
+                window_requests=300, warmup_requests=100,
+                metadata_probe_interval=250, obs=obs,
+                tracer=TraceConfig().build(),
+            )
+            events = [
+                {k: v for k, v in event.items() if not k.endswith("seconds")}
+                for event in obs.recorder.events
+            ]
+            runs.append((result, events))
+        (ref, ref_events), (run, run_events) = runs
+        assert run.counters() == ref.counters()
+        assert run.window_series() == ref.window_series()
+        assert run_events == ref_events
+        assert sum(e["event"] == "sim.window" for e in run_events) == 4
+        if name == "lhr":
+            assert any(e["event"].startswith("lhr.") for e in run_events)
+        assert run.decision_trace.records == ref.decision_trace.records
+        assert len(run.decision_trace.records) == len(fixture_trace)
 
     def test_traced_packed_run_records_decisions(
         self, fixture_trace, fixture_capacity
@@ -218,7 +312,7 @@ class TestSubclassSafety:
                 super()._on_hit(req)
 
         policy = SpyLru(10**12)
-        assert policy._scalar_kernel_blocked
+        assert "replay_span" in policy.__dict__  # base walker pinned
         packed = PackedTrace.from_trace(fixture_trace)
         result = simulate(policy, packed)
         assert len(hits) == result.hits > 0
@@ -239,9 +333,7 @@ class TestSubclassSafety:
 
         spy_cls = type(f"Spy{base_cls.__name__}", (base_cls,), {"_on_hit": _on_hit})
         policy = spy_cls(fixture_capacity)
-        assert policy._scalar_kernel_blocked
-        assert "request_scalar" in policy.__dict__  # base shims pinned
-        assert "replay_span" in policy.__dict__
+        assert "replay_span" in policy.__dict__  # base walker pinned
         packed = PackedTrace.from_trace(fixture_trace)
         result = simulate(policy, packed)
         assert len(hits) == result.hits > 0

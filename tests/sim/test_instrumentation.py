@@ -3,7 +3,7 @@
 import pytest
 
 from repro.policies import make_policy
-from repro.sim import build_policy, known_policies
+from repro.sim import build_policy, known_policies, simulate
 from repro.sim.instrumentation import InstrumentedPolicy
 from repro.traces.request import Request
 from repro.traces.synthetic import irm_trace
@@ -28,6 +28,16 @@ class TestTransparency:
         for r in stream:
             assert plain.request(r) == wrapped.request(r)
         assert wrapped.object_hit_ratio == plain.object_hit_ratio
+
+    def test_simulate_records_diagnostics(self):
+        trace = irm_trace(1500, 80, mean_size=1 << 10, seed=21)
+        capacity = int(0.1 * trace.unique_bytes())
+        processed = InstrumentedPolicy(make_policy("lru", capacity))
+        processed.process(trace)
+        simulated = InstrumentedPolicy(make_policy("lru", capacity))
+        simulate(simulated, trace)
+        assert simulated.completed_residencies > 0
+        assert simulated.report() == processed.report()
 
     def test_attribute_passthrough(self):
         wrapped = InstrumentedPolicy(make_policy("lru", 100))

@@ -111,6 +111,9 @@ class TestRowValidation:
             ((-1.0, 3, 10), "finite and non-negative"),
             (("soon", 3, 10), "soon"),
             ((2.0, 3, "big"), "big"),
+            ((2.0, 2**63, 10), "int64"),
+            ((2.0, -(2**63) - 1, 10), "int64"),
+            ((2.0, 3, 2**63), "int64"),
         ],
     )
     def test_bad_row_names_path_and_line(self, tmp_path, fmt, bad_row, message):
