@@ -220,11 +220,11 @@ def _finish_observation(obs: Observation, args: argparse.Namespace) -> None:
         return
     obs.close()
     if getattr(args, "log_json", None):
-        print(f"wrote event log to {args.log_json}")
+        print(f"wrote event log to {args.log_json}", file=sys.stderr)
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
         obs.registry.write(metrics_out)
-        print(f"wrote metrics snapshot to {metrics_out}")
+        print(f"wrote metrics snapshot to {metrics_out}", file=sys.stderr)
 
 
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
@@ -264,7 +264,10 @@ def _write_trace(spans: SpanRecorder | None, args: argparse.Namespace) -> None:
     if spans is None:
         return
     spans.write_chrome_trace(args.trace_out)
-    print(f"wrote timeline trace ({len(spans)} spans) to {args.trace_out}")
+    print(
+        f"wrote timeline trace ({len(spans)} spans) to {args.trace_out}",
+        file=sys.stderr,
+    )
 
 
 def _add_learner_flag(parser: argparse.ArgumentParser) -> None:
@@ -405,7 +408,8 @@ def cmd_trace_generate(args: argparse.Namespace) -> int:
     _save_any_trace(trace, args.output, args.format)
     print(
         f"wrote {len(trace)} requests "
-        f"({trace.unique_bytes() / (1 << 30):.2f} GB unique) to {args.output}"
+        f"({trace.unique_bytes() / (1 << 30):.2f} GB unique) to {args.output}",
+        file=sys.stderr,
     )
     return 0
 
@@ -430,11 +434,11 @@ def cmd_trace_convert(args: argparse.Namespace) -> int:
 def _simulate_sharded(args: argparse.Namespace, trace) -> int:
     """`repro simulate --shards N`: hash-sharded single-trace replay.
 
-    The sharded path replays the packed columns through independent
-    per-shard policies (see :func:`repro.sim.parallel.run_sharded`); it
-    has no single policy object to instrument, so the observation /
-    span / serve surfaces are rejected up front rather than silently
-    ignored.
+    Each shard is one sweep cell with its own policy instance (see
+    :func:`repro.sim.parallel.run_sharded`), and ``run_sharded`` merges
+    only their counters and window series: it takes no observation
+    handle, so the observation / span / learner / serve surfaces are
+    rejected up front rather than silently ignored.
     """
     for flag, name in (
         (getattr(args, "log_json", None), "--log-json"),
@@ -447,7 +451,7 @@ def _simulate_sharded(args: argparse.Namespace, trace) -> int:
         if flag:
             raise SystemExit(
                 f"error: {name} is not supported with --shards; sharded "
-                "replay runs uninstrumented per-shard fast paths"
+                "replay merges only per-shard counters and window series"
             )
     ledger = _ledger_for(args)
     try:
@@ -635,7 +639,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(report.render_text())
     if args.csv:
         report.divergence.write_csv(args.csv)
-        print(f"wrote per-window divergence series to {args.csv}")
+        print(f"wrote per-window divergence series to {args.csv}", file=sys.stderr)
     return 0
 
 
@@ -735,7 +739,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(report.render_text())
     if args.collapsed:
         path = report.write_collapsed(args.collapsed)
-        print(f"wrote collapsed stacks to {path}")
+        print(f"wrote collapsed stacks to {path}", file=sys.stderr)
     return 0
 
 
@@ -892,7 +896,7 @@ def cmd_runs_export(args: argparse.Namespace) -> int:
         rows = ledger.export_csv(args.run, args.csv)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
-    print(f"wrote {rows} window rows to {args.csv}")
+    print(f"wrote {rows} window rows to {args.csv}", file=sys.stderr)
     if rows == 0:
         print(
             "note: this run has no per-window series (run with --window N "
@@ -1072,7 +1076,8 @@ def cmd_workload_generate(args: argparse.Namespace) -> int:
     trace = generate_trace(configs[0])
     _save_any_trace(trace, args.output, args.format)
     print(
-        f"wrote {len(trace)} requests ({configs[0].describe()}) to {args.output}"
+        f"wrote {len(trace)} requests ({configs[0].describe()}) to {args.output}",
+        file=sys.stderr,
     )
     return 0
 
@@ -1145,7 +1150,7 @@ def cmd_workload_run(args: argparse.Namespace) -> int:
         print(report.render_text())
     if args.json_out:
         Path(args.json_out).write_text(report.to_json() + "\n")
-        print(f"wrote lab report to {args.json_out}")
+        print(f"wrote lab report to {args.json_out}", file=sys.stderr)
     return 0
 
 

@@ -32,7 +32,7 @@ from repro.core.detection import DriftDetector
 from repro.core.features import FeatureStore, feature_dim
 from repro.core.gbm import GradientBoostingRegressor
 from repro.core.hro import HroBound, HroWindow, window_labels_for_ids
-from repro.core.model_backends import resolve_backend
+from repro.core.model_backends import BatchedBackend
 from repro.core.threshold import ThresholdEstimator, WindowSample
 from repro.obs import Observation
 from repro.obs.learner import CAL_BINS, CalibrationStats, realized_reuse
@@ -79,10 +79,6 @@ class LhrCache(CachePolicy):
         ``"byte"`` tunes it for byte hit ratio (WAN traffic) instead.
     gbm_params:
         Overrides for the :class:`GradientBoostingRegressor`.
-    model_backend:
-        Inference backend name (``"scalar"``, ``"batched"`` or
-        ``"auto"``); every backend is bit-exact, so this is a pure
-        performance knob.  See :mod:`repro.core.model_backends`.
     """
 
     name = "lhr"
@@ -103,14 +99,12 @@ class LhrCache(CachePolicy):
         sample_fraction: float = 0.5,
         threshold_objective: str = "object",
         gbm_params: dict | None = None,
-        model_backend: str = "auto",
         seed: int = 0,
     ):
         super().__init__(capacity)
         if eviction_rule not in EVICTION_RULES:
             raise ValueError(f"eviction_rule must be one of {EVICTION_RULES}")
-        self._backend = resolve_backend(model_backend)
-        self.model_backend = self._backend.name
+        self._backend = BatchedBackend()
         self.num_irts = num_irts
         self.auto_threshold = auto_threshold
         self.use_detection = use_detection

@@ -1,69 +1,26 @@
-"""Pluggable inference backends for LHR's admission model.
+"""Inference backends for LHR's admission model.
 
 LHR scores every request with its gradient-boosted model; *how* those
 scores are computed is an implementation detail with a large
 performance range (a scalar tree walk per request vs a vectorized
-level-order traversal over a whole block).  This module keeps the two
-behind one small interface — a registry keyed by name, in the style of
-plugin registries in large analysis frameworks — so the policy can pick
-the fastest backend that preserves exactness, and tests can pin the
-backends against each other.
+level-order traversal over a whole block).  LHR scores with
+:class:`BatchedBackend`; :class:`ScalarBackend` is the reference it is
+tested against, installed on one instance (``policy._backend =
+ScalarBackend()``) to replay the same trace both ways.
 
 Every backend must be *bit-exact* with the scalar reference:
 ``score_block(model, rows)[i]`` must equal ``score_one(model, rows[i])``
-to float equality.  The equivalence suite enforces this, which is what
-makes backend selection a pure performance knob.
+to float equality.  The equivalence suite enforces this, down to full
+LHR replays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: name -> backend class.  Populated by :func:`register_backend`.
-MODEL_BACKENDS: dict[str, type] = {}
-
-#: The backend ``"auto"`` resolves to — the fastest registered backend
-#: that is bit-exact with the scalar reference.
-AUTO_BACKEND = "batched"
-
-
-def register_backend(name: str):
-    """Class decorator: register a backend under ``name``."""
-
-    def decorate(cls):
-        cls.name = name
-        MODEL_BACKENDS[name] = cls
-        return cls
-
-    return decorate
-
-
-def backend_names() -> tuple[str, ...]:
-    """Valid ``model_backend`` arguments (registered names + ``auto``)."""
-    return tuple(sorted(MODEL_BACKENDS)) + ("auto",)
-
-
-def resolve_backend(name: str):
-    """Instantiate the backend registered under ``name``.
-
-    ``"auto"`` picks :data:`AUTO_BACKEND`.  Raises ``ValueError`` for
-    unknown names so a typo fails at construction, not mid-replay.
-    """
-    if name == "auto":
-        name = AUTO_BACKEND
-    try:
-        cls = MODEL_BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown model backend {name!r}; choose from {backend_names()}"
-        ) from None
-    return cls()
-
 
 class ModelBackend:
     """Interface: score feature rows with a fitted GBM."""
-
-    name = "base"
 
     def score_one(self, model, row) -> float:
         """Unclamped model output for a single feature row."""
@@ -77,7 +34,6 @@ class ModelBackend:
         raise NotImplementedError
 
 
-@register_backend("scalar")
 class ScalarBackend(ModelBackend):
     """Reference backend: the pure-Python per-row tree walk.
 
@@ -96,7 +52,6 @@ class ScalarBackend(ModelBackend):
         return out
 
 
-@register_backend("batched")
 class BatchedBackend(ModelBackend):
     """Vectorized backend: NumPy level-order traversal per block.
 

@@ -22,7 +22,6 @@ from repro.sim.parallel import (
     CellFailure,
     CellSpec,
     PackedTrace,
-    ShardSpec,
     SweepCellError,
     merge_shard_results,
     run_sharded,
@@ -53,7 +52,6 @@ __all__ = [
     "PackedTrace",
     "ReplicatedResult",
     "ReuseDistanceAnalyzer",
-    "ShardSpec",
     "SimulationResult",
     "SweepCellError",
     "TieredCache",

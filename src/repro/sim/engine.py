@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.obs import NULL_OBS, Observation
 from repro.obs.trace import DecisionTracer
 from repro.policies.base import CachePolicy
@@ -34,6 +36,7 @@ def simulate(
     tracer: DecisionTracer | None = None,
     heartbeat=None,
     heartbeat_interval: int = 0,
+    positions=None,
 ) -> SimulationResult:
     """Run ``policy`` over ``trace``.
 
@@ -79,20 +82,24 @@ def simulate(
         on (sweep worker heartbeats, the CLI's ``--serve`` progress).
         Disabled (interval 0) the loop carries only a falsy-int check
         per chunk, like the window rollover guard.
+    positions:
+        Optional request indices into ``trace``, strictly increasing:
+        only those requests are replayed (one hash shard of
+        :func:`~repro.sim.parallel.run_sharded`).  Windows, warmup,
+        metadata probes and heartbeats stay on the trace's own index
+        grid; ``requests``, every window's ``requests`` and the heartbeat
+        argument count replayed requests only, and every window of the
+        grid is reported, empty or not.  ``None`` (the default) replays
+        every request.  Anything but 1-D integers in ``[0, len(trace))``
+        raises ``ValueError``.
     """
-    if warmup_requests < 0:
-        raise ValueError("warmup_requests must be non-negative")
-    if window_requests < 0:
-        raise ValueError("window_requests must be non-negative")
+    check_replay_args(len(trace), window_requests, warmup_requests)
     if heartbeat_interval < 0:
         raise ValueError("heartbeat_interval must be non-negative")
     if heartbeat_interval and heartbeat is None:
         raise ValueError("heartbeat_interval set without a heartbeat callable")
-    if warmup_requests and warmup_requests >= len(trace):
-        raise ValueError(
-            f"warmup_requests ({warmup_requests}) must be smaller than the "
-            f"trace ({len(trace)} requests); nothing would be measured"
-        )
+    if positions is not None:
+        positions = _checked_positions(positions, len(trace))
     result = SimulationResult(
         policy=policy.name, trace=trace.name, capacity=policy.capacity
     )
@@ -107,8 +114,48 @@ def simulate(
         tracer=tracer,
         heartbeat=heartbeat,
         heartbeat_interval=heartbeat_interval,
+        positions=positions,
     )
     return result
+
+
+def check_replay_args(
+    trace_length: int, window_requests: int = 0, warmup_requests: int = 0
+) -> None:
+    """Reject window and warmup settings no replay of a ``trace_length``
+    request trace can honour.
+
+    ``simulate`` calls this per replay and ``run_sweep`` once before any
+    cell starts, so a bad argument raises one ``ValueError`` up front
+    rather than failing every cell.  A warmup at or beyond the trace
+    length would silently produce empty aggregates.
+    """
+    if warmup_requests < 0:
+        raise ValueError("warmup_requests must be non-negative")
+    if window_requests < 0:
+        raise ValueError("window_requests must be non-negative")
+    if warmup_requests and warmup_requests >= trace_length:
+        raise ValueError(
+            f"warmup_requests ({warmup_requests}) must be smaller than the "
+            f"trace ({trace_length} requests); nothing would be measured"
+        )
+
+
+def _checked_positions(positions, trace_length: int) -> np.ndarray:
+    """``positions`` as an index array, or ``ValueError`` unless it is a
+    1-D, strictly increasing run of integers in ``[0, trace_length)``."""
+    positions = np.asarray(positions)
+    if positions.ndim != 1 or (positions.size and positions.dtype.kind not in "iu"):
+        raise ValueError("positions must be a 1-D array of integer request indices")
+    if positions.size:
+        if not (positions[1:] > positions[:-1]).all():
+            raise ValueError("positions must be strictly increasing")
+        if positions[0] < 0 or positions[-1] >= trace_length:
+            raise ValueError(
+                f"positions must lie in [0, {trace_length}), the trace's "
+                "request indices"
+            )
+    return positions.astype(np.intp, copy=False)
 
 
 def _emit_window(obs: Observation, window: WindowMetrics) -> None:
@@ -134,13 +181,14 @@ def replay_into(
     tracer: DecisionTracer | None = None,
     heartbeat=None,
     heartbeat_interval: int = 0,
+    positions: np.ndarray | None = None,
 ) -> SimulationResult:
     """The replay loop: feed ``trace`` through ``policy`` and accumulate
     into ``result``.
 
     Assumes arguments were validated by the caller (``simulate`` does).
-    A ``Trace`` is packed first.  The loop walks the packed columns in
-    chunks whose boundaries land exactly on every bookkeeping point —
+    A ``Trace`` is packed first.  The loop walks the trace's index grid
+    in chunks whose boundaries land exactly on every bookkeeping point —
     metadata probes after index ``i % interval == 0``, window rollovers
     every ``window_requests``, heartbeats at ``(i + 1) %
     heartbeat_interval == 0`` and the warmup edge — and hands each chunk
@@ -150,6 +198,14 @@ def replay_into(
     counters as deltas at those boundaries: every request adds its size
     to exactly one of ``hit_bytes``/``miss_bytes``, so byte and hit
     totals over any index range are counter differences.
+
+    With ``positions`` the columns are gathered to those requests first
+    and each chunk of the grid becomes the matching slice of the gathered
+    columns (located by ``searchsorted``); empty slices are skipped, so
+    ``replay_span`` and a walked policy's ``Request.index`` see positions
+    in the gathered subsequence.  A metadata probe fires after a chunk
+    whose last replayed request sits at a probe index, and heartbeats
+    report the requests replayed so far.
 
     ``replay_span`` is the policy's native span kernel or the base
     walker, which calls ``request`` per request.  Attaching ``tracer``
@@ -176,8 +232,16 @@ def replay_into(
     if tracer is not None:
         policy.attach_tracer(tracer)
     packed = trace if isinstance(trace, PackedTrace) else PackedTrace.from_trace(trace)
-    obj_ids, sizes, times = packed.scalar_columns()
-    total = len(obj_ids)
+    total = len(packed)
+    if positions is None:
+        obj_ids, sizes, times = packed.scalar_columns()
+        replayed = total
+    else:
+        obj_ids = packed.obj_ids[positions].tolist()
+        sizes = packed.sizes[positions].tolist()
+        times = packed.times[positions].tolist()
+        replayed = len(obj_ids)
+        locate = positions.searchsorted
     replay_span = policy.replay_span
     interval = metadata_probe_interval
     warmup = min(warmup_requests, total)
@@ -188,7 +252,7 @@ def replay_into(
             cat="sim",
             policy=policy.name,
             trace=packed.name,
-            requests=total,
+            requests=replayed,
             packed=True,
         )
         if warmup:
@@ -203,7 +267,8 @@ def replay_into(
     win_hits = win_hit_bytes = win_bytes = win_evictions = 0
     start = time.perf_counter()
     peak_metadata = 0
-    i = 0
+    measured_from = 0
+    i = lo = 0
     while i < total:
         stop = total
         if interval:
@@ -222,7 +287,7 @@ def replay_into(
                     )
                 window = WindowMetrics(index=len(result.windows))
                 result.windows.append(window)
-                window_begin = i
+                window_begin = lo
                 win_hits = policy.hits
                 win_hit_bytes = policy.hit_bytes
                 win_bytes = policy.hit_bytes + policy.miss_bytes
@@ -236,37 +301,45 @@ def replay_into(
                 stop = boundary
         if i < warmup < stop:
             stop = warmup
-        if spans_on:
-            chunk = spans.begin("sim.chunk", cat="sim", start=i, stop=stop)
-            replay_span(obj_ids, sizes, times, i, stop)
-            spans.end(chunk)
-        else:
-            replay_span(obj_ids, sizes, times, i, stop)
+        hi = stop if positions is None else int(locate(stop))
+        if hi > lo:
+            if spans_on:
+                chunk = spans.begin("sim.chunk", cat="sim", start=i, stop=stop)
+                replay_span(obj_ids, sizes, times, lo, hi)
+                spans.end(chunk)
+            else:
+                replay_span(obj_ids, sizes, times, lo, hi)
+            # A chunk holds at most one probe index, and only as its last.
+            if (
+                interval
+                and (stop - 1) % interval == 0
+                and (positions is None or positions[hi - 1] == stop - 1)
+            ):
+                metadata = policy.metadata_bytes()
+                if metadata > peak_metadata:
+                    peak_metadata = metadata
         if window is not None:
-            window.requests = stop - window_begin
+            window.requests = hi - window_begin
             window.hits = policy.hits - win_hits
             window.hit_bytes = policy.hit_bytes - win_hit_bytes
             window.total_bytes = policy.hit_bytes + policy.miss_bytes - win_bytes
             window.evictions = policy.evictions - win_evictions
         if stop == warmup:
+            measured_from = hi
             base_hits = policy.hits
             base_hit_bytes = policy.hit_bytes
             base_bytes = policy.hit_bytes + policy.miss_bytes
             if warmup_handle is not None:
                 spans.end(warmup_handle)
                 warmup_handle = None
-        if interval and (stop - 1) % interval == 0:
-            metadata = policy.metadata_bytes()
-            if metadata > peak_metadata:
-                peak_metadata = metadata
         if heartbeat_interval and stop % heartbeat_interval == 0:
-            heartbeat(stop)
-        i = stop
+            heartbeat(hi)
+        i, lo = stop, hi
     result.runtime_seconds = time.perf_counter() - start
     result.peak_metadata_bytes = max(peak_metadata, policy.metadata_bytes())
     result.evictions = policy.evictions
     result.admissions = policy.admissions
-    result.requests += total - warmup
+    result.requests += replayed - measured_from
     result.hits += policy.hits - base_hits
     result.hit_bytes += policy.hit_bytes - base_hit_bytes
     result.total_bytes += policy.hit_bytes + policy.miss_bytes - base_bytes

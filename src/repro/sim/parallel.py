@@ -2,7 +2,9 @@
 
 Every headline experiment is a grid of independent (policy, capacity)
 simulations over one shared trace; this module fans those cells out to
-worker processes.  Design constraints, in order:
+worker processes.  A hash shard of one trace (:func:`run_sharded`) is
+one more cell: it replays its slice of the object-id space through the
+same engine loop, worker entry and pool.  Design constraints, in order:
 
 * **Determinism** — results are bit-identical to a serial sweep and come
   back in grid order (the order of the input specs) regardless of which
@@ -58,7 +60,7 @@ from repro.obs.server import ProgressTracker, current_rss_bytes
 from repro.obs.learner import LearnerTelemetry
 from repro.obs.spans import SpanRecorder
 from repro.obs.trace import TraceConfig
-from repro.sim.engine import simulate
+from repro.sim.engine import check_replay_args, simulate
 from repro.sim.metrics import SimulationResult, WindowMetrics, grid_order
 from repro.util.bloom import _mix64
 from repro.traces.packed import (
@@ -80,7 +82,6 @@ __all__ = [
     "CellFailure",
     "CellSpec",
     "PackedTrace",  # re-exported; the class lives in repro.traces.packed
-    "ShardSpec",
     "SweepCellError",
     "merge_shard_results",
     "run_sharded",
@@ -98,13 +99,16 @@ class CellSpec:
     ``kwargs`` is stored as a sorted item tuple so specs pickle
     deterministically and never depend on dict insertion order.
     ``index`` is the cell's position in the grid; results are returned
-    sorted by it.
+    sorted by it.  With ``shards > 1`` the cell replays only the requests
+    whose object id hashes to ``shard`` (see :func:`run_sharded`).
     """
 
     policy: str
     capacity: int
     kwargs: tuple[tuple[str, object], ...] = ()
     index: int = -1
+    shard: int = 0
+    shards: int = 1
 
     @classmethod
     def make(
@@ -291,6 +295,10 @@ def _run_cell(
     outcome's result slot back for the driver to absorb grid-ordered.
     Like spans, learner telemetry alone keeps ``enabled`` False — native
     span kernels stay engaged and accounting stays bit-identical.
+
+    A shard cell (``spec.shards > 1``) recomputes its request positions
+    from the worker's id column, so no index array crosses the pipe, and
+    its failure message names the shard.
     """
     span_recorder = SpanRecorder(role="worker") if record_spans else None
     learner = LearnerTelemetry() if record_learner else None
@@ -321,6 +329,10 @@ def _run_cell(
     try:
         policy = spec.build()
         heartbeat = _heartbeat_for(spec, policy, heartbeat_interval, heartbeat_sink)
+        positions = None
+        if spec.shards > 1:
+            assignment = shard_assignments(_WORKER_TRACE.obj_ids, spec.shards)
+            positions = np.flatnonzero(assignment == spec.shard)
         result = simulate(
             policy,
             _WORKER_TRACE,
@@ -330,6 +342,7 @@ def _run_cell(
             tracer=trace_config.build() if trace_config is not None else None,
             heartbeat=heartbeat,
             heartbeat_interval=heartbeat_interval if heartbeat else 0,
+            positions=positions,
         )
         result.cell_index = spec.index
         events = cell_obs.recorder.events if observe else None
@@ -341,11 +354,12 @@ def _run_cell(
         spans = span_recorder.as_dicts() if span_recorder is not None else None
         return spec.index, result, None, events, registry, spans
     except BaseException as exc:  # noqa: BLE001 — must cross the pipe as data
+        shard = f"shard {spec.shard}/{spec.shards}: " if spec.shards > 1 else ""
         failure = CellFailure(
             index=spec.index,
             policy=spec.policy,
             capacity=spec.capacity,
-            error=f"{type(exc).__name__}: {exc}",
+            error=f"{shard}{type(exc).__name__}: {exc}",
             traceback=traceback.format_exc(),
         )
         events = cell_obs.recorder.events if observe else None
@@ -381,7 +395,8 @@ def run_sweep(
     exact same failure-capture semantics; ``jobs > 1`` fans out over a
     ``ProcessPoolExecutor``.  Either way the returned list is ordered by
     ``CellSpec.index`` and each cell's outcome is independent of how the
-    others fared.
+    others fared.  Window and warmup settings are checked once, before
+    any cell starts (:func:`~repro.sim.engine.check_replay_args`).
 
     When ``obs`` is enabled the sweep emits ``sweep.cell_start`` per cell
     up front, runs every cell under a cell-local recorder/registry, then
@@ -411,6 +426,7 @@ def run_sweep(
     be sliced per scenario afterwards; ``None`` (the default) emits the
     exact historical stream.
     """
+    check_replay_args(len(trace), window_requests, warmup_requests)
     specs = [
         spec if spec.index >= 0 else replace(spec, index=i)
         for i, spec in enumerate(specs)
@@ -810,8 +826,9 @@ def _run_pooled(
 # ``run_sweep`` parallelizes *across* grid cells; one huge cell still
 # replays serially.  ``run_sharded`` parallelizes *within* one cell by
 # partitioning the object-id space: requests hash-route to one of N
-# shards, each shard runs an independent policy instance at its slice of
-# the capacity, and the per-shard counters merge back shard-ordered.
+# shards, each shard is an ordinary sweep cell (``CellSpec.shard``) whose
+# policy instance runs at its slice of the capacity, and the per-shard
+# counters merge back shard-ordered.
 #
 # Semantics, stated precisely:
 #
@@ -824,16 +841,15 @@ def _run_pooled(
 #   exact: sharded-parallel == sharded-serial, bit for bit, for every
 #   policy — each shard is self-contained, so execution order and
 #   process boundaries cannot change any counter.
-# * Window/warmup edges are **global**: shard workers break their
-#   subsequence at the positions where the global request index crosses
-#   a window boundary (via ``searchsorted`` on the shard's global
-#   indices), so the merged per-window series aligns with an unsharded
-#   run's reporting grid.
+# * Window/warmup edges are **global**: a shard cell hands the engine
+#   its request indices (``simulate(..., positions=)``), and the engine
+#   keeps walking the whole trace's index grid, so the merged per-window
+#   series aligns with an unsharded run's reporting grid.
 #
-# The trace crosses the process boundary the same way sweep cells do:
-# one shared-memory segment, workers attach read-only and gather their
-# own subsequence (each recomputes the assignment vector from the shared
-# id column — vectorized, and cheaper than pickling index arrays).
+# The trace crosses the process boundary the same way every sweep cell's
+# does: one shared-memory segment, workers attach read-only and each
+# shard cell recomputes its positions from the shared id column
+# (vectorized, and cheaper than pickling index arrays).
 
 
 def shard_of(obj_id: int, shards: int) -> int:
@@ -869,178 +885,6 @@ def shard_capacities(capacity: int, shards: int) -> list[int]:
             "shard capacities"
         )
     return [base + 1 if s < remainder else base for s in range(shards)]
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One shard of a sharded replay: which slice of the id space, at
-    what slice of the capacity.  Picklable; the policy is constructed
-    inside the worker, exactly like :class:`CellSpec`."""
-
-    policy: str
-    capacity: int  # this shard's capacity slice
-    shard: int
-    shards: int
-    kwargs: tuple[tuple[str, object], ...] = ()
-
-    def build(self):
-        from repro.sim.runner import build_policy
-
-        return build_policy(self.policy, self.capacity, **dict(self.kwargs))
-
-
-def _replay_shard(
-    policy,
-    packed: PackedTrace,
-    global_idx: np.ndarray,
-    window_requests: int,
-    warmup_requests: int,
-    metadata_probe_interval: int = 1000,
-) -> SimulationResult:
-    """Replay one shard's subsequence through ``policy.replay_span``.
-
-    ``global_idx`` holds the shard's request positions in the *global*
-    trace, ascending.  All bookkeeping edges are global: the chunk loop
-    breaks where the global index crosses a window boundary or the
-    warmup edge (located locally via ``searchsorted``), and metadata is
-    probed after exactly the requests the unsharded packed loop probes
-    after (global index multiple of the probe interval) — so with one
-    shard this reproduces ``replay_into``'s result field for field.
-
-    Accounting is pure counter deltas at the edge snapshots, the same
-    discipline ``replay_into`` uses, so any policy whose
-    ``replay_span`` is exact at arbitrary chunkings (the fast-path
-    contract) is exact here too.
-    """
-    total = len(packed)
-    local_ids = packed.obj_ids[global_idx].tolist()
-    local_sizes = packed.sizes[global_idx].tolist()
-    local_times = packed.times[global_idx].tolist()
-    m = int(global_idx.size)
-
-    edges = [np.array([m], dtype=np.intp)]
-    num_windows = 0
-    closes = np.empty(0, dtype=np.intp)
-    if window_requests:
-        num_windows = -(-total // window_requests) if total else 0
-        close_globals = np.minimum(
-            np.arange(1, num_windows + 1, dtype=np.int64) * window_requests,
-            total,
-        )
-        closes = np.searchsorted(global_idx, close_globals).astype(np.intp)
-        edges.append(closes)
-    warm_local = 0
-    if warmup_requests:
-        warm_local = int(np.searchsorted(global_idx, warmup_requests))
-        edges.append(np.array([warm_local], dtype=np.intp))
-    if metadata_probe_interval and m:
-        probes = (
-            np.nonzero(global_idx % metadata_probe_interval == 0)[0] + 1
-        ).astype(np.intp)
-        edges.append(probes)
-    stops = np.unique(np.concatenate(edges)).tolist()
-
-    def snap():
-        return (
-            policy.hits,
-            policy.hit_bytes,
-            policy.hit_bytes + policy.miss_bytes,
-            policy.evictions,
-        )
-
-    snapshots = {0: snap()}
-    replay_span = policy.replay_span
-    peak_metadata = 0
-    start = time.perf_counter()
-    i = 0
-    for stop in stops:
-        if stop <= i:
-            continue
-        replay_span(local_ids, local_sizes, local_times, i, stop)
-        i = stop
-        snapshots[i] = snap()
-        if (
-            metadata_probe_interval
-            and global_idx[i - 1] % metadata_probe_interval == 0
-        ):
-            metadata = policy.metadata_bytes()
-            if metadata > peak_metadata:
-                peak_metadata = metadata
-    runtime = time.perf_counter() - start
-
-    result = SimulationResult(
-        policy=policy.name,
-        trace=packed.name,
-        capacity=policy.capacity,
-    )
-    base = snapshots[warm_local]
-    final = snapshots[i] if i in snapshots else snap()
-    result.requests = m - warm_local
-    result.hits = final[0] - base[0]
-    result.hit_bytes = final[1] - base[1]
-    result.total_bytes = final[2] - base[2]
-    result.evictions = policy.evictions
-    result.admissions = policy.admissions
-    result.runtime_seconds = runtime
-    result.peak_metadata_bytes = max(peak_metadata, policy.metadata_bytes())
-    previous = 0
-    for k in range(num_windows):
-        close = int(closes[k])
-        before, after = snapshots[previous], snapshots[close]
-        result.windows.append(
-            WindowMetrics(
-                index=k,
-                requests=close - previous,
-                hits=after[0] - before[0],
-                hit_bytes=after[1] - before[1],
-                total_bytes=after[2] - before[2],
-                evictions=after[3] - before[3],
-            )
-        )
-        previous = close
-    return result
-
-
-def _run_shard(
-    spec: ShardSpec,
-    window_requests: int,
-    warmup_requests: int,
-    metadata_probe_interval: int = 1000,
-) -> tuple[int, SimulationResult | None, CellFailure | None]:
-    """Worker entry for one shard; never raises (failures ride back as
-    data, like sweep cells).  Recomputes the assignment vector from the
-    worker's shared id column — no index arrays cross the pipe."""
-    try:
-        trace = _WORKER_TRACE
-        packed = (
-            trace
-            if isinstance(trace, PackedTrace)
-            else PackedTrace.from_trace(trace)
-        )
-        assignment = shard_assignments(packed.obj_ids, spec.shards)
-        global_idx = np.nonzero(assignment == spec.shard)[0]
-        policy = spec.build()
-        result = _replay_shard(
-            policy,
-            packed,
-            global_idx,
-            window_requests,
-            warmup_requests,
-            metadata_probe_interval,
-        )
-        result.cell_index = spec.shard
-        result.extra["shard"] = spec.shard
-        result.extra["shards"] = spec.shards
-        return spec.shard, result, None
-    except BaseException as exc:  # noqa: BLE001 — must cross the pipe as data
-        failure = CellFailure(
-            index=spec.shard,
-            policy=spec.policy,
-            capacity=spec.capacity,
-            error=f"shard {spec.shard}/{spec.shards}: {type(exc).__name__}: {exc}",
-            traceback=traceback.format_exc(),
-        )
-        return spec.shard, None, failure
 
 
 def merge_shard_results(
@@ -1094,14 +938,14 @@ def run_sharded(
     warmup_requests: int = 0,
     jobs: int = 0,
     mp_context=None,
-    metadata_probe_interval: int = 1000,
 ) -> SimulationResult:
     """Replay one trace through one policy, hash-sharded ``shards`` ways.
 
-    ``jobs <= 1`` runs the shards serially in-process; ``jobs > 1`` fans
-    them out over a process pool with the trace in one shared-memory
-    segment (pickled-arrays fallback where shared memory is unusable).
-    Either way the merged result is bit-identical — each shard is an
+    Each shard is one :func:`run_sweep` cell, so ``jobs <= 1`` runs the
+    shards serially in-process and ``jobs > 1`` fans them out over the
+    sweep's process pool with the trace in one shared-memory segment
+    (pickled-arrays fallback where shared memory is unusable).  Either
+    way the merged result is bit-identical — each shard is an
     independent policy instance over a deterministic slice of the id
     space, so scheduling cannot perturb any counter.  ``shards=1``
     reproduces the unsharded packed replay exactly.
@@ -1110,134 +954,21 @@ def run_sharded(
     failed, with per-shard failures attached; the shared segment is
     released on every exit path (``live_segment_names`` stays clean).
     """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if window_requests < 0:
-        raise ValueError("window_requests must be non-negative")
-    if warmup_requests < 0:
-        raise ValueError("warmup_requests must be non-negative")
-    if warmup_requests and warmup_requests >= len(trace):
-        raise ValueError(
-            f"warmup_requests ({warmup_requests}) must be smaller than the "
-            f"trace ({len(trace)} requests); nothing would be measured"
-        )
-    packed = trace if isinstance(trace, PackedTrace) else PackedTrace.from_trace(trace)
-    capacities = shard_capacities(capacity, shards)
     items = tuple(sorted((kwargs or {}).items()))
     specs = [
-        ShardSpec(
-            policy=policy,
-            capacity=capacities[s],
-            shard=s,
-            shards=shards,
-            kwargs=items,
-        )
-        for s in range(shards)
+        CellSpec(policy, cap, items, index=s, shard=s, shards=shards)
+        for s, cap in enumerate(shard_capacities(capacity, shards))
     ]
     specs[0].build()  # fail fast in the driver on bad policy/kwargs
-
     start = time.perf_counter()
-    if jobs and jobs > 1 and shards > 1:
-        outcomes = _run_shards_pooled(
-            packed, specs, window_requests, warmup_requests, jobs, mp_context,
-            metadata_probe_interval,
-        )
-    else:
-        outcomes = _run_shards_inline(
-            packed, specs, window_requests, warmup_requests,
-            metadata_probe_interval,
-        )
-    outcomes.sort(key=lambda outcome: outcome[0])
-    failures = [outcome[2] for outcome in outcomes if outcome[2] is not None]
-    if failures:
-        raise SweepCellError(failures, [outcome[1] for outcome in outcomes])
-    merged = merge_shard_results(
-        [outcome[1] for outcome in outcomes], policy, packed.name, capacity
+    results = run_sweep(
+        trace,
+        specs,
+        window_requests=window_requests,
+        warmup_requests=warmup_requests,
+        jobs=jobs if shards > 1 else 0,
+        mp_context=mp_context,
     )
+    merged = merge_shard_results(results, policy, trace.name, capacity)
     merged.runtime_seconds = time.perf_counter() - start
     return merged
-
-
-def _run_shards_inline(
-    packed: PackedTrace,
-    specs: Sequence[ShardSpec],
-    window_requests: int,
-    warmup_requests: int,
-    metadata_probe_interval: int,
-) -> list[tuple[int, SimulationResult | None, CellFailure | None]]:
-    """Serial shard execution through the worker code path."""
-    global _WORKER_TRACE
-    previous = _WORKER_TRACE
-    _WORKER_TRACE = packed
-    try:
-        return [
-            _run_shard(
-                spec, window_requests, warmup_requests, metadata_probe_interval
-            )
-            for spec in specs
-        ]
-    finally:
-        _WORKER_TRACE = previous
-
-
-def _run_shards_pooled(
-    packed: PackedTrace,
-    specs: Sequence[ShardSpec],
-    window_requests: int,
-    warmup_requests: int,
-    jobs: int,
-    mp_context,
-    metadata_probe_interval: int,
-) -> list[tuple[int, SimulationResult | None, CellFailure | None]]:
-    """Fan shards out over worker processes, sharing the trace the same
-    way sweep cells do (one shared segment, pickle fallback); the driver
-    owns and always releases the segment."""
-    workers = min(jobs, len(specs))
-    shared = None
-    try:
-        shared = SharedTraceBuffers.create(packed)
-    except (OSError, ValueError):
-        shared = None  # no usable /dev/shm — ship the arrays by pickle
-    if shared is not None:
-        initializer = _init_worker_shared
-        payload = shared.descriptor
-    else:
-        initializer = _init_worker
-        payload = packed
-    outcomes: list[tuple[int, SimulationResult | None, CellFailure | None]] = []
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=mp_context,
-            initializer=initializer,
-            initargs=(payload,),
-        ) as pool:
-            futures = {
-                pool.submit(
-                    _run_shard, spec, window_requests, warmup_requests,
-                    metadata_probe_interval,
-                ): spec
-                for spec in specs
-            }
-            for future in as_completed(futures):
-                outcomes.append(future.result())
-    except BrokenProcessPool as exc:
-        done = {outcome[0] for outcome in outcomes}
-        failures = [
-            CellFailure(
-                index=spec.shard,
-                policy=spec.policy,
-                capacity=spec.capacity,
-                error=f"worker process died: {exc}",
-                traceback="".join(traceback.format_exception(exc)),
-            )
-            for spec in specs
-            if spec.shard not in done
-        ]
-        raise SweepCellError(
-            failures, [outcome[1] for outcome in outcomes]
-        ) from exc
-    finally:
-        if shared is not None:
-            shared.release()
-    return outcomes

@@ -1,10 +1,9 @@
-"""Model-backend registry: resolution, exactness, and the LHR pin.
+"""Model backends: exactness and the LHR pin.
 
-The registry's contract is that backend choice is a pure performance
-knob: every backend's ``score_block`` equals the scalar reference to
-float equality, so an LHR replay is bit-identical whichever backend
-scores it.  These tests pin both halves — the backends against each
-other on raw models, and full LHR replays against each other end to end.
+Every backend's ``score_block`` equals the scalar reference to float
+equality, so an LHR replay is bit-identical whichever backend scores
+it.  These tests pin both halves — the backends against each other on
+raw models, and full LHR replays against each other end to end.
 """
 
 from __future__ import annotations
@@ -14,41 +13,10 @@ import pytest
 
 from repro.core.gbm import GradientBoostingRegressor
 from repro.core.lhr import LhrCache
-from repro.core.model_backends import (
-    AUTO_BACKEND,
-    MODEL_BACKENDS,
-    BatchedBackend,
-    ScalarBackend,
-    backend_names,
-    resolve_backend,
-)
+from repro.core.model_backends import BatchedBackend, ScalarBackend
 from repro.sim import simulate
 from repro.traces.packed import PackedTrace
 from repro.traces.synthetic import irm_trace
-
-
-class TestRegistry:
-    def test_known_names(self):
-        assert "scalar" in MODEL_BACKENDS
-        assert "batched" in MODEL_BACKENDS
-        assert backend_names() == ("batched", "scalar", "auto")
-
-    def test_resolution(self):
-        assert isinstance(resolve_backend("scalar"), ScalarBackend)
-        assert isinstance(resolve_backend("batched"), BatchedBackend)
-        assert resolve_backend("auto").name == AUTO_BACKEND
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown model backend"):
-            resolve_backend("tpu")
-
-    def test_lhr_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown model backend"):
-            LhrCache(1 << 20, model_backend="tpu")
-
-    def test_lhr_default_is_auto(self):
-        assert LhrCache(1 << 20).model_backend == AUTO_BACKEND
-        assert LhrCache(1 << 20, model_backend="scalar").model_backend == "scalar"
 
 
 class TestBackendExactness:
@@ -64,17 +32,17 @@ class TestBackendExactness:
     def test_score_block_matches_score_one(self, model):
         rng = np.random.default_rng(4)
         rows = rng.random((64, 23))
-        scalar = resolve_backend("scalar")
-        batched = resolve_backend("batched")
+        scalar = ScalarBackend()
+        batched = BatchedBackend()
         reference = [scalar.score_one(model, rows[i]) for i in range(64)]
         assert scalar.score_block(model, rows).tolist() == reference
         assert batched.score_block(model, rows).tolist() == reference
 
     def test_score_one_agrees_across_backends(self, model):
         row = np.random.default_rng(5).random(23)
-        assert resolve_backend("scalar").score_one(model, row) == resolve_backend(
-            "batched"
-        ).score_one(model, row)
+        assert ScalarBackend().score_one(model, row) == BatchedBackend().score_one(
+            model, row
+        )
 
 
 class TestLhrBackendPin:
@@ -94,14 +62,19 @@ class TestLhrBackendPin:
     def pin_capacity(self, pin_trace):
         return max(int(0.15 * int(pin_trace.sizes.sum())), 1)
 
-    def _replay(self, pin_trace, pin_capacity, backend):
-        policy = LhrCache(pin_capacity, seed=0, model_backend=backend)
+    def test_lhr_scores_with_batched_backend(self, pin_capacity):
+        assert type(LhrCache(pin_capacity)._backend) is BatchedBackend
+
+    def _replay(self, pin_trace, pin_capacity, backend=None):
+        policy = LhrCache(pin_capacity, seed=0)
+        if backend is not None:
+            policy._backend = backend
         result = simulate(policy, pin_trace, window_requests=300)
         return policy, result
 
     def test_scalar_equals_batched(self, pin_trace, pin_capacity):
-        scalar_policy, scalar = self._replay(pin_trace, pin_capacity, "scalar")
-        batched_policy, batched = self._replay(pin_trace, pin_capacity, "batched")
+        scalar_policy, scalar = self._replay(pin_trace, pin_capacity, ScalarBackend())
+        batched_policy, batched = self._replay(pin_trace, pin_capacity)
         assert scalar.counters() == batched.counters()
         assert scalar.window_series() == batched.window_series()
         assert scalar.object_hit_ratio == batched.object_hit_ratio
@@ -110,8 +83,3 @@ class TestLhrBackendPin:
             scalar_policy.estimator.history == batched_policy.estimator.history
         )
         assert scalar_policy.cached_objects() == batched_policy.cached_objects()
-
-    def test_auto_equals_batched(self, pin_trace, pin_capacity):
-        _, auto = self._replay(pin_trace, pin_capacity, "auto")
-        _, batched = self._replay(pin_trace, pin_capacity, "batched")
-        assert auto.counters() == batched.counters()

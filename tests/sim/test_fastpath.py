@@ -11,6 +11,7 @@ observation) transparently pins the base walker, which calls
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -57,11 +58,19 @@ def _build(name, capacity):
 def _oracle(
     policy, trace, window_requests=0, warmup_requests=0,
     metadata_probe_interval=1000, obs=NULL_OBS, tracer=None,
+    heartbeat=None, heartbeat_interval=0, positions=None,
 ):
     """Per-request reference replay: ``policy.request`` once per request
-    with the engine's window, warmup and metadata-probe accounting.  With
-    an enabled ``obs`` it emits ``sim.window`` at each window rollover and
-    for the last window, as the engine's replay loop always has."""
+    with the engine's window, warmup, metadata-probe and heartbeat
+    accounting.  With an enabled ``obs`` it emits ``sim.window`` at each
+    window rollover and for the last window, as the engine's replay loop
+    always has.
+
+    ``positions`` replays only those requests, numbered by their place
+    in the subsequence; every other rule stays on the trace's own index
+    grid, and request counts (windows, aggregates, heartbeats) count
+    replayed requests only."""
+    replay = None if positions is None else set(positions)
     if obs.enabled:
         policy.attach_observation(obs)
     if tracer is not None:
@@ -81,8 +90,9 @@ def _oracle(
     window = None
     evict_mark = 0
     peak_metadata = 0
+    replayed = 0
     for i, req in enumerate(trace):
-        if window_requests and (window is None or window.requests >= window_requests):
+        if window_requests and i % window_requests == 0:
             if window is not None:
                 window.evictions = policy.evictions - evict_mark
                 if obs.enabled:
@@ -90,21 +100,27 @@ def _oracle(
             evict_mark = policy.evictions
             window = WindowMetrics(index=len(result.windows))
             result.windows.append(window)
-        hit = policy.request(req)
-        if i >= warmup_requests:
-            result.requests += 1
-            result.total_bytes += req.size
-            if hit:
-                result.hits += 1
-                result.hit_bytes += req.size
-        if window is not None:
-            window.requests += 1
-            window.total_bytes += req.size
-            if hit:
-                window.hits += 1
-                window.hit_bytes += req.size
-        if metadata_probe_interval and i % metadata_probe_interval == 0:
-            peak_metadata = max(peak_metadata, policy.metadata_bytes())
+        if replay is None or i in replay:
+            if replay is not None:
+                req = dataclasses.replace(req, index=replayed)
+            replayed += 1
+            hit = policy.request(req)
+            if i >= warmup_requests:
+                result.requests += 1
+                result.total_bytes += req.size
+                if hit:
+                    result.hits += 1
+                    result.hit_bytes += req.size
+            if window is not None:
+                window.requests += 1
+                window.total_bytes += req.size
+                if hit:
+                    window.hits += 1
+                    window.hit_bytes += req.size
+            if metadata_probe_interval and i % metadata_probe_interval == 0:
+                peak_metadata = max(peak_metadata, policy.metadata_bytes())
+        if heartbeat_interval and (i + 1) % heartbeat_interval == 0:
+            heartbeat(replayed)
     result.peak_metadata_bytes = max(peak_metadata, policy.metadata_bytes())
     result.evictions = policy.evictions
     result.admissions = policy.admissions

@@ -357,6 +357,23 @@ class TestFailureContainment:
         with pytest.raises(ValueError, match="unknown policies"):
             run_comparison(sweep_trace, ["lru", "nope"], [sweep_capacity], parallel=2)
 
+    @pytest.mark.parametrize("parallel", [0, 2])
+    def test_bad_warmup_fails_before_any_cell(
+        self, sweep_trace, sweep_capacity, parallel, monkeypatch
+    ):
+        import repro.sim.parallel as parallel_module
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a sweep cell started")
+
+        monkeypatch.setattr(parallel_module, "_run_cell", no_cell)
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", no_cell)
+        with pytest.raises(ValueError, match="warmup_requests"):
+            run_comparison(
+                sweep_trace, ["lru", "gdsf"], [sweep_capacity],
+                warmup_requests=len(sweep_trace), parallel=parallel,
+            )
+
 
 class TestDeterminism:
     """Two runs of the same seeded policy must agree bit-for-bit —

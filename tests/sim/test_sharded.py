@@ -26,7 +26,7 @@ from repro.sim import (
     shard_of,
     simulate,
 )
-from repro.sim.parallel import ShardSpec, _replay_shard, _run_shard
+from repro.sim.parallel import CellSpec, _run_cell
 from repro.sim.runner import build_policy
 from repro.traces.packed import PackedTrace, live_segment_names
 from repro.traces.synthetic import irm_trace
@@ -205,16 +205,19 @@ class TestGlobalWindowAccounting:
     def test_shard_results_partition_the_measured_stream(
         self, shard_packed, shard_capacity
     ):
-        # Per-shard results (driven directly through the worker entry)
-        # must sum to the merged aggregates.
+        # Per-shard results (driven directly through the engine) must
+        # sum to the merged aggregates.
         caps = shard_capacities(shard_capacity, 3)
         assignment = shard_assignments(shard_packed.obj_ids, 3)
         per_shard = []
         for shard in range(3):
             policy = build_policy("lru", caps[shard])
-            global_idx = np.nonzero(assignment == shard)[0]
+            positions = np.nonzero(assignment == shard)[0]
             per_shard.append(
-                _replay_shard(policy, shard_packed, global_idx, 250, 100)
+                simulate(
+                    policy, shard_packed, window_requests=250,
+                    warmup_requests=100, positions=positions,
+                )
             )
         merged = run_sharded(
             shard_packed, "lru", shard_capacity, shards=3,
@@ -297,14 +300,15 @@ class TestValidationAndFailure:
         previous = parallel_module._WORKER_TRACE
         parallel_module._WORKER_TRACE = shard_packed
         try:
-            spec = ShardSpec(
-                policy="lru", capacity=shard_capacity, shard=0, shards=2,
-                kwargs=(("bogus_kwarg", 1),),
+            spec = CellSpec(
+                policy="lru", capacity=shard_capacity, index=0, shard=0,
+                shards=2, kwargs=(("bogus_kwarg", 1),),
             )
-            shard, result, failure = _run_shard(spec, 0, 0)
+            shard, result, failure = _run_cell(spec, 0, 0, False)[:3]
         finally:
             parallel_module._WORKER_TRACE = previous
         assert shard == 0
         assert result is None
         assert failure is not None
+        assert failure.error.startswith("shard 0/2: ")
         assert "bogus_kwarg" in failure.traceback

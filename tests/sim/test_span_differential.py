@@ -1,4 +1,5 @@
-"""Differential properties: ``replay_span`` against ``request``.
+"""Differential properties: ``replay_span`` and ``simulate`` against
+``request``.
 
 Span kernels are the only native replay code, so this suite guards them
 on random small traces rather than on fixtures.  Every registered policy
@@ -9,21 +10,28 @@ the edges fixtures miss: ids from a small pool (repeats inside one
 chunk), sizes equal to the capacity and one byte over it, chunks of one
 request and one chunk over the whole trace, and, for the LHR family,
 windows short enough to close and retrain the model inside a chunk.
+
+One level up, the engine's bookkeeping (windows, warmup, metadata
+probes, heartbeats and replayed ``positions``) is checked the same way:
+``simulate`` on the generated traces against the per-request oracle in
+``tests/sim/test_fastpath.py``, down to one-request windows and
+intervals, zero warmup and an empty subsequence.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import known_policies
+from repro.sim import known_policies, simulate
 from repro.sim.runner import build_policy
 from repro.traces.packed import PackedTrace
-from repro.traces.request import Request
-from tests.sim.test_fastpath import POLICY_KWARGS
+from repro.traces.request import Request, Trace
+from tests.sim.test_fastpath import POLICY_KWARGS, _oracle
 
 #: LHR windows close after 8 requests once their unique bytes reach the
 #: capacity, so about half of the generated traces retrain, most of them
@@ -139,3 +147,83 @@ def test_lhr_family_retrains_inside_one_chunk(name):
     assert spanned.trainings >= 1
     assert reference.admissions < len(set(obj_ids))
     assert _state(spanned) == _state(reference)
+
+
+def _interval(total):
+    """An engine interval: off, every request, or a random stride."""
+    return st.one_of(
+        st.just(0), st.just(1), st.integers(min_value=2, max_value=total + 2)
+    )
+
+
+@st.composite
+def engine_cases(draw):
+    """``(capacity, columns, replay arguments)`` for ``simulate``."""
+    capacity, columns, _ = draw(cases())
+    total = len(columns[0])
+    warmup = st.integers(min_value=1, max_value=total - 1) if total > 1 else st.just(0)
+    subset = st.lists(st.integers(min_value=0, max_value=total - 1), unique=True)
+    positions = draw(st.one_of(st.none(), st.just([]), subset.map(sorted)))
+    args = {
+        "window_requests": draw(_interval(total)),
+        "heartbeat_interval": draw(_interval(total)),
+        "warmup_requests": draw(st.one_of(st.just(0), warmup)),
+        "metadata_probe_interval": draw(_interval(total)),
+        "positions": None if positions is None else np.array(positions, dtype=np.int64),
+    }
+    return capacity, columns, args
+
+
+def _record_probes(policy, probes):
+    """Log where each metadata probe fires, in requests replayed so far:
+    a probe off the rule rarely moves the peak on traces this small."""
+    metadata_bytes = policy.metadata_bytes
+
+    def probe():
+        probes.append(policy.hits + policy.misses)
+        return metadata_bytes()
+
+    policy.metadata_bytes = probe
+
+
+@pytest.mark.parametrize("name", ["lru", "lru-2", "lfu-da", "b-lru", "gdsf", "lhr"])
+@settings(max_examples=60, deadline=None)
+@given(case=engine_cases())
+def test_simulate_matches_request_oracle(name, case):
+    capacity, (times, obj_ids, sizes), args = case
+    trace = Trace(
+        [Request(*request) for request in zip(times, obj_ids, sizes)], name="case"
+    )
+    runs = []
+    packed = PackedTrace.from_trace(trace)
+    for replay, replayed in ((_oracle, trace), (simulate, packed)):
+        policy = build_policy(name, capacity, **KWARGS.get(name, {}))
+        probes, beats = [], []
+        _record_probes(policy, probes)
+        result = replay(policy, replayed, heartbeat=beats.append, **args)
+        windows = [
+            (w.index, w.requests, w.hits, w.hit_bytes, w.total_bytes, w.evictions)
+            for w in result.windows
+        ]
+        runs.append(
+            (result.counters(), windows, result.peak_metadata_bytes, beats, probes)
+        )
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize(
+    "positions, match",
+    [
+        ([[0, 1]], "1-D"),
+        ([0.0, 1.0], "integer"),
+        ([True, False], "integer"),
+        ([1, 1], "strictly increasing"),
+        ([2, 1], "strictly increasing"),
+        ([-1, 0], r"\[0, 4\)"),
+        ([0, 4], r"\[0, 4\)"),
+    ],
+)
+def test_simulate_rejects_bad_positions(positions, match):
+    packed = PackedTrace.from_arrays([0.0, 1.0, 2.0, 3.0], [1, 2, 3, 4], [1, 1, 1, 1])
+    with pytest.raises(ValueError, match=match):
+        simulate(build_policy("lru", 10), packed, positions=positions)

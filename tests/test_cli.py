@@ -116,6 +116,22 @@ class TestSubcommands:
 
         assert strip(serial_out) == strip(parallel_out)
 
+    def test_compare_rejects_warmup_covering_trace(self, trace_file):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--trace", trace_file, "--policies", "lru,gdsf",
+                  "--capacities", "1MB", "--warmup", "400"])
+        message = str(excinfo.value)
+        assert message.startswith("error: warmup_requests (400) must be smaller")
+        assert "\n" not in message
+
+    def test_simulate_shards(self, trace_file, tmp_path, capsys):
+        args = ["simulate", "--trace", trace_file, "--policy", "lru",
+                "--capacity", "1MB", "--window", "100", "--shards", "2"]
+        assert main(args) == 0
+        assert "per-window hit ratio" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match="--log-json is not supported"):
+            main([*args, "--log-json", str(tmp_path / "events.jsonl")])
+
     def test_simulate_warmup_excludes_requests(self, trace_file, capsys):
         assert main(
             ["simulate", "--trace", trace_file, "--policy", "lru",
@@ -198,13 +214,16 @@ class TestAnalyze:
         csv_path = tmp_path / "divergence.csv"
         assert main(
             ["analyze", "--trace", trace_file, "--policy", "lru",
-             "--capacity", "32KB", "--window", "500",
+             "--capacity", "32KB", "--window", "500", "--format", "json",
              "--csv", str(csv_path)]
         ) == 0
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("window,requests,")
         assert len(lines) == 1 + 5  # header + 2500/500 windows
-        assert "wrote per-window divergence series" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        # The confirmation goes to stderr so stdout stays one JSON document.
+        assert json.loads(captured.out)["requests"] == 2500
+        assert "wrote per-window divergence series" in captured.err
 
     def test_unknown_policy_rejected(self, trace_file):
         with pytest.raises(SystemExit):
@@ -315,8 +334,8 @@ class TestObservabilityFlags:
              "--capacity", "64KB"]
         ) == 0
         captured = capsys.readouterr()
-        assert "wrote event log" not in captured.out
-        assert "wrote metrics snapshot" not in captured.out
+        assert "wrote event log" not in captured.out + captured.err
+        assert "wrote metrics snapshot" not in captured.out + captured.err
 
 
 class TestLiveOpsCli:
@@ -377,12 +396,16 @@ class TestLiveOpsCli:
             stack, count = line.rsplit(" ", 1)
             assert stack and int(count) > 0
 
-    def test_profile_json(self, trace_file, capsys):
+    def test_profile_json(self, trace_file, tmp_path, capsys):
+        collapsed = tmp_path / "stacks.folded"
         assert main(
             ["profile", trace_file, "lru", "--capacity", "64KB",
-             "--interval-ms", "1", "--format", "json"]
+             "--interval-ms", "1", "--format", "json",
+             "--collapsed", str(collapsed)]
         ) == 0
-        payload = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert "wrote collapsed stacks" in captured.err
         assert payload["policy"] == "lru"
         assert any(
             row["metric"] == "sim_replay_seconds" for row in payload["phases"]
@@ -531,7 +554,7 @@ class TestRunLedgerCli:
         assert self._compare(trace_file) == 0
         out = tmp_path / "series.csv"
         assert main(["runs", "export", "latest", "--csv", str(out)]) == 0
-        assert "window rows" in capsys.readouterr().out
+        assert "window rows" in capsys.readouterr().err
         header = out.read_text().splitlines()[0]
         assert header.startswith("cell,policy,capacity,window,requests")
 
@@ -668,7 +691,7 @@ class TestTimelineTracingCli:
             ["simulate", "--trace", trace_file, "--policy", "lru",
              "--capacity", "64KB", "--trace-out", str(out)]
         ) == 0
-        assert "wrote timeline trace" in capsys.readouterr().out
+        assert "wrote timeline trace" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert payload["displayTimeUnit"] == "ms"
         events = payload["traceEvents"]
@@ -756,7 +779,7 @@ class TestTimelineTracingCli:
             return [
                 [c for i, c in enumerate(line.split()) if i != 8]
                 for line in text.splitlines()
-                if line and not line.startswith("wrote timeline")
+                if line
             ]
 
         assert strip(plain) == strip(traced)

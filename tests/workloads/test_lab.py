@@ -193,14 +193,16 @@ class TestWorkloadCli:
             "workload", "run", "--scenario", "churn,diurnal",
             "--policies", "lru", "--requests", "600",
             "--format", "json", "--json", str(json_path),
+            "--trace-out", str(tmp_path / "lab.trace.json"),
         ]) == 0
         payload = json.loads(json_path.read_text())
         names = [s["scenario"] for s in payload["scenarios"]]
         assert names == ["churn", "diurnal"]
-        stdout_payload = json.loads(
-            capsys.readouterr().out.rsplit("wrote lab report", 1)[0]
-        )
-        assert stdout_payload == payload
+        captured = capsys.readouterr()
+        # Write confirmations go to stderr: stdout is the report alone.
+        assert json.loads(captured.out) == payload
+        assert "wrote lab report" in captured.err
+        assert "wrote timeline trace" in captured.err
 
     def test_run_all_expands_registry(self, capsys):
         assert main([
