@@ -56,8 +56,8 @@ def _median(samples):
 class _WalkedLru(LruCache):
     """LRU with no hook overridden.  Its type is not ``LruCache``, so the
     pin rule keeps it on the base walker: every arm replays through
-    ``request`` and ``_admit``, whose ``obs.enabled`` guard the <2% bound
-    charges, instead of the span kernel, which never reaches the guard."""
+    ``request`` and ``_admit``, the tier a decision tracer pins, so the
+    disabled, enabled and traced arms all time the same code."""
 
 
 def _replay_seconds(workload, obs_factory, rounds=ROUNDS, tracer_factory=None):
@@ -114,10 +114,12 @@ def test_noop_recorder_overhead_under_two_percent(workload, benchmark):
     )
     per_request = disabled / len(workload)
     per_check = _guard_seconds_per_check()
-    # When disabled, the replay loop itself carries no guards; the only
-    # per-event check sits in the admission path (the eviction-burst
-    # guard), evaluated once per admission.  The decision tracer adds
-    # NO disabled-path check: attach_tracer swaps the ``request``
+    # When disabled, the replay loop carries one guard per chunk, never
+    # per request, and the admission path carries none.  ``checks``
+    # still charges one guard per admission (plus the engine's one-time
+    # setup), so it over-counts the guards that remain and keeps the
+    # bound conservative.  The decision tracer adds NO disabled-path
+    # check: attach_tracer swaps the ``request``
     # dispatch through the instance dict instead of guarding inside it,
     # and victim capture shadows ``_remove`` only while a traced
     # admission is in flight.  Assert that construction still holds —
@@ -196,8 +198,9 @@ def test_span_recording_overhead_reported(workload, benchmark):
     **reported**, not asserted (it rides the same noisy runners as the
     enabled-recorder cell); what *is* asserted is that span capture
     changes nothing about the replay's accounting and that the disabled
-    path stays covered by the <2% pin above (``Observation.spans_only``
-    keeps ``enabled=False``, so span capture never pins the base walker).
+    path stays covered by the <2% pin above
+    (``Observation.sidecars_only`` keeps ``enabled=False``, so span
+    capture builds no events or metrics).
     """
     capacity = cache_bytes("cdn-a", 512)
     _replay_seconds(workload, lambda: NULL_OBS, rounds=1)  # warmup
@@ -208,7 +211,7 @@ def test_span_recording_overhead_reported(workload, benchmark):
     def spans_obs():
         recorder = SpanRecorder()
         recorders.append(recorder)
-        return Observation.spans_only(recorder)
+        return Observation.sidecars_only(spans=recorder)
 
     spanned, _ = _replay_seconds(workload, spans_obs)
     span_counts = [len(r) for r in recorders]
@@ -222,7 +225,7 @@ def test_span_recording_overhead_reported(workload, benchmark):
     traced = simulate(
         build_policy("lru", capacity),
         workload,
-        obs=Observation.spans_only(SpanRecorder()),
+        obs=Observation.sidecars_only(spans=SpanRecorder()),
     )
     assert traced.counters() == baseline.counters(), (
         "span recording changed replay accounting"
@@ -233,7 +236,7 @@ def test_span_recording_overhead_reported(workload, benchmark):
         lambda: simulate(
             build_policy("lru", capacity),
             workload,
-            obs=Observation.spans_only(SpanRecorder()),
+            obs=Observation.sidecars_only(spans=SpanRecorder()),
         ),
         rounds=1,
         iterations=1,
@@ -275,8 +278,9 @@ def test_learner_telemetry_overhead_reported(workload, benchmark):
     runners as the other enabled cells); what *is* asserted is that the
     telemetry changes nothing about the replay's accounting and that the
     disabled path stays covered by the <2% pin above
-    (``Observation.sidecars_only`` keeps ``enabled=False``, so the LHR
-    span kernel stays engaged).
+    (``Observation.sidecars_only`` keeps ``enabled=False``, and no
+    observation pins the base walker, so the LHR span kernel stays
+    engaged).
     """
     capacity = cache_bytes("cdn-a", 512)
     window = max(len(workload) // 32, 1)

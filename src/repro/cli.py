@@ -186,11 +186,10 @@ def _build_observation(
     logging flag).  A ``spans`` recorder (``--trace-out``) and a
     ``learner`` telemetry hub (``--learner``) ride the handle as extra
     sinks; when they are the *only* things asked for, the handle stays
-    disabled (``Observation.sidecars_only``) so the replay keeps the
-    native span kernels — spans land at chunk granularity and learner
-    rows at window granularity either way.  If a later recorder constructor
-    fails, the ones already built are closed — no leaked file handles
-    on bad flags.
+    disabled (``Observation.sidecars_only``), so no events or metrics
+    are built or shipped.  No handle changes which code replays the
+    trace.  If a later recorder constructor fails, the ones already
+    built are closed — no leaked file handles on bad flags.
     """
     recorders = []
     try:
@@ -348,8 +347,8 @@ def _ledger_for(args: argparse.Namespace) -> RunLedger | None:
 def _capture_events(obs: Observation) -> MemoryRecorder | None:
     """Splice a :class:`MemoryRecorder` into an enabled observation so
     the ledger can digest the event stream; returns the recorder, or
-    None when ``obs`` is disabled (an unledgered event digest is better
-    than pinning every run to the base walker)."""
+    None when ``obs`` is disabled (an undigested run is better than
+    making every run emit, buffer and ship events it never asked for)."""
     if not obs.enabled:
         return None
     capture = MemoryRecorder()

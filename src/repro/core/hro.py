@@ -159,8 +159,8 @@ class HroBound:
         self.track_decisions = False
         self.last_would_cache = True
         self._ranks: dict[int, int] = {}
-        #: Observation handle (:mod:`repro.obs`): window closes time the
-        #: hazard re-ranking into the ``hro_rank_seconds`` histogram.
+        #: Observation handle (:mod:`repro.obs`): window closes record the
+        #: hazard re-ranking as an ``hro.rank`` span.
         self.obs = NULL_OBS
         self.hits = 0
         self.hit_bytes = 0
@@ -257,12 +257,9 @@ class HroBound:
         return hit
 
     def _close_window(self) -> None:
-        # Time only the hazard re-ranking; the on_window callback (LHR's
-        # detection/training pipeline) reports through its own metrics.
-        with self.obs.timer(
-            "hro_rank_seconds",
-            help="hazard-rate re-ranking at each sliding-window close",
-        ):
+        # Span only the hazard re-ranking; the on_window callback (LHR's
+        # detection/training pipeline) records its own spans.
+        with self.obs.spans.span("hro.rank", cat="hro"):
             window = self._rank_and_rotate()
         if self.on_window is not None:
             self.on_window(window)

@@ -152,7 +152,6 @@ class LhrCache(CachePolicy):
         self.trainings = 0
         self.training_seconds = 0.0
         self.windows_processed = 0
-        self._predict_histogram = None
         # The native replay_span kernel below inlines this class's hooks
         # and the base control flow; subclasses overriding either must
         # stay on the base walker.
@@ -169,16 +168,6 @@ class LhrCache(CachePolicy):
         self.detector.obs = obs
         self.estimator.obs = obs
         self.hro.obs = obs
-        # Cache the per-request predict histogram: scoring runs on every
-        # request, so skip the registry lookup on the hot path.
-        self._predict_histogram = (
-            obs.registry.histogram(
-                "lhr_predict_seconds",
-                help="per-request GBM admission-probability inference",
-            )
-            if obs.enabled
-            else None
-        )
 
     def attach_tracer(self, tracer) -> None:
         """Decision traces for LHR also track the HRO hazard ranking so
@@ -221,12 +210,7 @@ class LhrCache(CachePolicy):
         self._last_access_time = time_
         row = self.features.vector(obj_id, time_, self.num_irts)
         if self._model is not None:
-            if self._predict_histogram is not None:
-                start = time.perf_counter()
-                p = min(max(self._backend.score_one(self._model, row), 0.0), 1.0)
-                self._predict_histogram.observe(time.perf_counter() - start)
-            else:
-                p = min(max(self._backend.score_one(self._model, row), 0.0), 1.0)
+            p = min(max(self._backend.score_one(self._model, row), 0.0), 1.0)
         else:
             # Bootstrap (first window): behave as admit-all with p = 1.
             p = 1.0
@@ -328,7 +312,7 @@ class LhrCache(CachePolicy):
         span tail is re-gathered and re-scored under the new state —
         which is precisely what per-request scoring would have seen.
         Equivalence tests pin this kernel bit-identical to ``request``;
-        instrumented runs are routed to the base walker by
+        traced runs are routed to the base walker by
         ``_pin_span_kernel``.
         """
         features = self.features

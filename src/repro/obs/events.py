@@ -17,8 +17,6 @@ The catalog (see ``docs/OBSERVABILITY.md`` for field-level details):
   lifecycle of one (policy, capacity) sweep cell.
 * ``sweep.cell_stalled`` — a running cell went silent past the stall
   timeout (only emitted when a progress tracker monitors the sweep).
-* ``policy.eviction_pressure`` — a single admission forced an unusually
-  long eviction burst.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ EVENT_TYPES: set[str] = {
     "sweep.cell_done",
     "sweep.cell_failed",
     "sweep.cell_stalled",
-    "policy.eviction_pressure",
 }
 
 

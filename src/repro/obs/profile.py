@@ -16,15 +16,17 @@ time":
   main thread and would collide with libraries that install their own
   handlers; the GIL makes a cross-thread frame snapshot consistent
   enough for statistical profiling.
-* :func:`phase_breakdown` — exact per-phase accounting from the
-  :class:`~repro.obs.timers.ScopedTimer` histograms the instrumented
-  hot paths already populate (``lhr_train_seconds``,
-  ``lhr_predict_seconds``, ``hro_rank_seconds``, ...), rendered as a
-  wall-time share table next to the process RSS.
+* the span phase table — exact per-phase accounting from the timeline
+  spans the replay records (``sim.replay``, ``sim.chunk``, ``hro.rank``,
+  ``lhr.window_close``, ``lhr.gbm_refit``, ...), aggregated per span
+  name by :func:`repro.obs.timeline.analyze_spans`, the same table
+  ``repro timeline`` prints.
 
 ``repro profile <trace> <policy>`` (see :func:`profile_simulation`)
-combines both: it replays the trace under an enabled observation plus a
-sampler and reports the phase table and a collapsed-stack file.
+combines both: it replays the trace under a span recorder plus a
+sampler and reports the phase table and a collapsed-stack file.  Span
+recording does not change which code runs, so the profile measures the
+kernel an unobserved replay ships.
 """
 
 from __future__ import annotations
@@ -37,18 +39,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.observation import Observation
-from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.server import current_rss_bytes
-
-#: Human-readable phase names for the histograms the subsystems time.
-#: Anything else ending in ``_seconds`` is reported under its raw name.
-PHASE_NAMES = {
-    "sim_replay_seconds": "replay loop (total)",
-    "lhr_train_seconds": "GBM training",
-    "lhr_predict_seconds": "GBM inference",
-    "hro_rank_seconds": "hazard re-ranking",
-    "policy_evictions_per_admission": None,  # count histogram, not a phase
-}
+from repro.obs.spans import SpanRecorder
+from repro.obs.timeline import PhaseStat, analyze_spans
 
 
 class SamplingProfiler:
@@ -176,65 +169,6 @@ def _format_frame(frame) -> str:
     return f"{module}.{code.co_name}"
 
 
-# ----------------------------------------------------------------------
-# Phase attribution
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseRow:
-    """One phase's exact cost, from its scoped-timer histogram."""
-
-    phase: str
-    metric: str
-    calls: int
-    total_seconds: float
-    mean_seconds: float
-    wall_share: float  # fraction of the run's wall time
-
-    def as_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "metric": self.metric,
-            "calls": self.calls,
-            "total_seconds": round(self.total_seconds, 6),
-            "mean_seconds": round(self.mean_seconds, 9),
-            "wall_share": round(self.wall_share, 4),
-        }
-
-
-def phase_breakdown(
-    registry: MetricsRegistry, wall_seconds: float
-) -> list[PhaseRow]:
-    """Per-phase wall-time rows from every ``*_seconds`` histogram.
-
-    Phases nest (GBM training happens *inside* the replay loop), so the
-    shares are not meant to sum to 100% — the replay-loop row is the
-    envelope and the inner rows attribute slices of it.
-    """
-    rows: list[PhaseRow] = []
-    for name in registry.names():
-        if not name.endswith("_seconds"):
-            continue
-        metric = registry.get(name)
-        if not isinstance(metric, Histogram) or metric.count == 0:
-            continue
-        if name in PHASE_NAMES and PHASE_NAMES[name] is None:
-            continue
-        rows.append(
-            PhaseRow(
-                phase=PHASE_NAMES.get(name) or name,
-                metric=name,
-                calls=metric.count,
-                total_seconds=metric.sum,
-                mean_seconds=metric.sum / metric.count,
-                wall_share=(metric.sum / wall_seconds) if wall_seconds else 0.0,
-            )
-        )
-    rows.sort(key=lambda row: -row.total_seconds)
-    return rows
-
-
 @dataclass
 class ProfileReport:
     """Everything ``repro profile`` prints or writes for one run."""
@@ -246,8 +180,11 @@ class ProfileReport:
     rss_bytes: int
     requests: int
     hit_ratio: float
-    phases: list[PhaseRow] = field(default_factory=list)
+    phases: list[PhaseStat] = field(default_factory=list)
     profiler: SamplingProfiler | None = None
+    #: Requests replayed before measurement began; the timed replay
+    #: processed ``warmup_requests + requests`` requests.
+    warmup_requests: int = 0
 
     @property
     def sample_count(self) -> int:
@@ -268,30 +205,31 @@ class ProfileReport:
             "requests": self.requests,
             "hit_ratio": round(self.hit_ratio, 6),
             "samples": self.sample_count,
-            "phases": [row.as_dict() for row in self.phases],
+            "phases": [phase.as_dict() for phase in self.phases],
         }
 
     def render_text(self) -> str:
+        # The rate counts every request the timed replay processed.
+        replayed = self.warmup_requests + self.requests
+        rate = replayed / self.wall_seconds if self.wall_seconds else 0.0
         lines = [
             f"profile: {self.policy} on {self.trace!r} "
             f"(capacity {self.capacity} bytes)",
             f"wall {self.wall_seconds:.3f}s  "
-            f"{self.requests / self.wall_seconds if self.wall_seconds else 0.0:,.0f} req/s  "
+            f"{rate:,.0f} req/s  "
             f"hit ratio {self.hit_ratio:.4f}  "
             f"rss {self.rss_bytes / (1 << 20):.1f} MB  "
             f"{self.sample_count} stack samples",
             "",
-            f"{'phase':<26}{'calls':>10}{'total_s':>12}{'mean_us':>12}{'% wall':>9}",
+            f"{'span':<26}{'count':>10}{'total_s':>12}{'self_s':>12}{'% self':>9}",
         ]
-        for row in self.phases:
+        for phase in self.phases:
             lines.append(
-                f"{row.phase:<26}{row.calls:>10}"
-                f"{row.total_seconds:>12.4f}"
-                f"{row.mean_seconds * 1e6:>12.1f}"
-                f"{100 * row.wall_share:>8.1f}%"
+                f"{phase.name:<26}{phase.count:>10}"
+                f"{phase.total_seconds:>12.4f}"
+                f"{phase.self_seconds:>12.4f}"
+                f"{100 * phase.self_share:>8.1f}%"
             )
-        if not self.phases:
-            lines.append("(no timed phases — did the run enable observation?)")
         if self.profiler and self.profiler.samples:
             lines.append("")
             lines.append("hottest frames (inclusive samples):")
@@ -310,8 +248,12 @@ def profile_simulation(
     interval_seconds: float = 0.005,
     policy_kwargs: dict | None = None,
 ) -> ProfileReport:
-    """Replay ``trace`` through ``policy_name`` under the sampler and an
-    enabled observation; return the combined :class:`ProfileReport`.
+    """Replay ``trace`` through ``policy_name`` under the sampler and a
+    span recorder; return the combined :class:`ProfileReport`.
+
+    The phase table is the recorded spans' per-name aggregate.  Spans
+    ride a sidecars-only observation, so the replay runs the same code
+    as an unobserved one (a policy's span kernel, if it has one).
     """
     # Imported here: repro.sim imports repro.obs at module load, so a
     # top-level import would be circular.
@@ -319,7 +261,7 @@ def profile_simulation(
     from repro.sim.runner import build_policy
 
     policy = build_policy(policy_name, capacity, **(policy_kwargs or {}))
-    obs = Observation()
+    recorder = SpanRecorder()
     profiler = SamplingProfiler(interval_seconds=interval_seconds)
     start = time.perf_counter()
     with profiler:
@@ -328,7 +270,7 @@ def profile_simulation(
             trace,
             window_requests=window_requests,
             warmup_requests=warmup_requests,
-            obs=obs,
+            obs=Observation.sidecars_only(spans=recorder),
         )
     wall = time.perf_counter() - start
     return ProfileReport(
@@ -339,6 +281,7 @@ def profile_simulation(
         rss_bytes=current_rss_bytes(),
         requests=result.requests,
         hit_ratio=result.object_hit_ratio,
-        phases=phase_breakdown(obs.registry, wall),
+        phases=analyze_spans(recorder.as_dicts()).phases,
         profiler=profiler,
+        warmup_requests=warmup_requests,
     )

@@ -27,10 +27,6 @@ from repro.obs import NULL_OBS, Observation
 from repro.obs.trace import DecisionTracer
 from repro.traces.request import Request
 
-#: Evictions a single admission must force before the policy emits a
-#: ``policy.eviction_pressure`` event (bursts below this stay aggregate).
-EVICTION_PRESSURE_BURST = 8
-
 
 class CachePolicy(ABC):
     """Byte-accurate cache with pluggable admission and eviction."""
@@ -151,7 +147,7 @@ class CachePolicy(ABC):
         The engine feeds every trace through this, one bookkeeping-free
         chunk per call.  This base walker builds a ``Request`` per
         request and calls :meth:`request`, so it is exact for every
-        policy and carries every hook, decision record and event.  Hot
+        policy and carries every hook and decision record.  Hot
         policies override it with a span kernel: ``request`` with their
         hooks inlined, state held in locals and counters written back
         once at the span edge.  The engine reads counters only at span
@@ -167,22 +163,20 @@ class CachePolicy(ABC):
         native span kernel is safe to run.
 
         A span kernel inlines the base control flow and its class's
-        hooks, and skips decision tracing and eviction-pressure events.
-        So the walker is pinned through the instance dict while a tracer
-        or an enabled observation is attached, and whenever ``type(self)``
-        is not one of the classes the kernel was written for (a subclass
-        overriding a hook or ``request`` would silently lose it).
-        Kernel-bearing classes call this from ``__init__`` with those
-        exact classes; ``attach_observation``/``attach_tracer`` call it
-        again, and detaching restores the kernel.
+        hooks, and skips decision tracing.  So the walker is pinned
+        through the instance dict while a tracer is attached, and
+        whenever ``type(self)`` is not one of the classes the kernel was
+        written for (a subclass overriding a hook or ``request`` would
+        silently lose it).  An attached observation never pins: events,
+        metrics, spans and learner telemetry all come from the engine's
+        chunk edges and the window-close pipeline, which both tiers
+        share.  Kernel-bearing classes call this from ``__init__`` with
+        those exact classes; ``attach_tracer`` calls it again, and
+        detaching restores the kernel.
         """
         if kernel_classes:
             self._kernel_classes = kernel_classes
-        if (
-            type(self) in self._kernel_classes
-            and self.tracer is None
-            and not self.obs.enabled
-        ):
+        if type(self) in self._kernel_classes and self.tracer is None:
             self.__dict__.pop("replay_span", None)
         else:
             self.__dict__["replay_span"] = CachePolicy.replay_span.__get__(self)
@@ -213,12 +207,13 @@ class CachePolicy(ABC):
     def attach_observation(self, obs: Observation) -> None:
         """Point this policy's instrumentation at ``obs``.
 
+        Attaching changes nothing about which code replays the requests:
+        the span kernel, if any, stays engaged (see ``_pin_span_kernel``).
         Subclasses with internal components that observe (LHR's detector,
         threshold estimator, HRO bound) override this to propagate the
         handle; they must call ``super().attach_observation(obs)``.
         """
         self.obs = obs
-        self._pin_span_kernel()
 
     def attach_tracer(self, tracer: DecisionTracer | None) -> None:
         """Record every admission/eviction decision into ``tracer``.
@@ -292,7 +287,6 @@ class CachePolicy(ABC):
     # ------------------------------------------------------------------
 
     def _admit(self, req: Request) -> None:
-        victims = 0
         while self._used + req.size > self.capacity:
             victim = self._select_victim(req)
             if victim not in self._sizes:
@@ -300,27 +294,9 @@ class CachePolicy(ABC):
                     f"{self.name}: victim {victim} is not cached"
                 )
             self._remove(victim)
-            victims += 1
         self._sizes[req.obj_id] = req.size
         self._used += req.size
         self.admissions += 1
-        if victims and self.obs.enabled:
-            self.obs.registry.histogram(
-                "policy_evictions_per_admission",
-                help="evictions forced by each admission that evicted",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-            ).observe(victims)
-            if victims >= EVICTION_PRESSURE_BURST:
-                self.obs.emit(
-                    "policy.eviction_pressure",
-                    policy=self.name,
-                    time=req.time,
-                    obj_id=req.obj_id,
-                    size=req.size,
-                    victims=victims,
-                    used_bytes=self._used,
-                    capacity=self.capacity,
-                )
         self._on_admit(req)
 
     def _remove(self, obj_id: int) -> None:

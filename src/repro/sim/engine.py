@@ -50,8 +50,7 @@ def simulate(
         the same chunked loop (``replay_into``); a ``Trace`` is packed
         first.  Which code runs per request — a native span kernel or
         ``request`` itself — depends only on the policy and on whether a
-        tracer or an enabled observation is attached, never on the
-        trace's form.
+        tracer is attached, never on the trace's form or on ``obs``.
     window_requests:
         If > 0, collect per-window hit series every this many requests
         (the Figure 7 time series).
@@ -66,11 +65,11 @@ def simulate(
         the peak-memory statistic.
     obs:
         Observation handle (:mod:`repro.obs`).  When enabled, the engine
-        emits one ``sim.window`` event per closed reporting window, times
-        the replay into the ``sim_replay_seconds`` histogram, attaches
-        the handle to the policy (so LHR's lifecycle events flow), and
-        records aggregate request/hit counters.  The default
-        :data:`~repro.obs.NULL_OBS` disables all of it.
+        emits one ``sim.window`` event per closed reporting window,
+        re-exports ``runtime_seconds`` as the ``sim_replay_seconds``
+        histogram, attaches the handle to the policy (so LHR's lifecycle
+        events flow), and records aggregate request/hit counters.  The
+        default :data:`~repro.obs.NULL_OBS` disables all of it.
     tracer:
         Optional :class:`~repro.obs.trace.DecisionTracer` attached to the
         policy for the replay — every request's admission verdict, its
@@ -167,6 +166,7 @@ def _emit_window(obs: Observation, window: WindowMetrics) -> None:
         hit_bytes=window.hit_bytes,
         total_bytes=window.total_bytes,
         hit_ratio=round(window.hit_ratio, 6),
+        evictions=window.evictions,
     )
 
 
@@ -209,25 +209,23 @@ def replay_into(
 
     ``replay_span`` is the policy's native span kernel or the base
     walker, which calls ``request`` per request.  Attaching ``tracer``
-    or an enabled ``obs`` pins the walker (``CachePolicy._pin_span_kernel``),
-    so decision records and policy events come from ``request`` itself.
-    Everything else the loop records costs one check per chunk, never
-    per request: ``sim.window`` events at each window rollover while
-    ``obs`` is enabled, the ``sim.replay``/``sim.warmup``/``sim.window``
-    spans plus one ``sim.chunk`` span per ``replay_span`` call while
-    ``obs.spans`` records, and the ``sim_*`` registry metrics once at the
-    end.
+    pins the walker (``CachePolicy._pin_span_kernel``), so decision
+    records come from ``request`` itself; ``obs`` never does.  Everything
+    the loop records costs one check per chunk, never per request:
+    ``sim.window`` events at each window rollover while ``obs`` is
+    enabled, the ``sim.replay``/``sim.warmup``/``sim.window`` spans plus
+    one ``sim.chunk`` span per ``replay_span`` call while ``obs.spans``
+    records, and the ``sim_*`` registry metrics once at the end.
     """
     observing = obs.enabled
     spans = obs.spans
     spans_on = spans.enabled
     learner_on = obs.learner.enabled
     if observing or spans_on or learner_on:
-        # A sidecars-only handle (spans and/or learner telemetry) still
-        # attaches: LHR's window-close spans flow through
-        # ``policy.obs.spans`` and the learner sink collects at window
-        # close via ``policy.obs.learner``.  Its ``enabled`` stays
-        # False, so native kernels are unaffected.
+        # Any live sink attaches: LHR's lifecycle events, its
+        # window-close spans and the learner rows all flow through
+        # ``policy.obs`` at window closes, which the native kernels and
+        # the walker share, so attaching leaves the kernel engaged.
         policy.attach_observation(obs)
     if tracer is not None:
         policy.attach_tracer(tracer)

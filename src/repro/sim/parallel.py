@@ -18,8 +18,8 @@ same engine loop, worker entry and pool.  Design constraints, in order:
   times (a short descriptor pickles instead).  Platforms without usable
   shared memory fall back to pickling the packed arrays once per worker.
   Workers replay the shared columns directly through the engine's one
-  chunked loop, observed and traced cells included: instrumentation
-  only pins the policy onto the base walker, it never changes the trace.
+  chunked loop, observed and traced cells included: a tracer only pins
+  the policy onto the base walker, it never changes the trace.
 * **Failure containment** — a cell that raises is captured in the worker
   (policy name, capacity and full traceback) and reported after every
   sibling cell has finished; one bad cell never hangs the pool or
@@ -285,16 +285,17 @@ def _run_cell(
     fork, so its spans carry the worker's real pid — wrapping the replay
     in one ``cat="cell"`` span (plus the engine/LHR spans beneath it);
     the recorded dicts ride the outcome tuple back for the driver to
-    absorb into one multi-process timeline.  Span recording alone does
-    not pin the base walker: a spans-only observation keeps ``enabled``
-    False, so native span kernels stay engaged.
+    absorb into one multi-process timeline.  Span recording alone rides a
+    sidecars-only observation (``enabled`` False), so the cell ships no
+    events or metrics.
 
     When ``record_learner`` is set, the cell runs with its own
     :class:`~repro.obs.learner.LearnerTelemetry` sink; the engine stamps
     the per-window series onto ``result.learner``, which rides the
     outcome's result slot back for the driver to absorb grid-ordered.
-    Like spans, learner telemetry alone keeps ``enabled`` False — native
-    span kernels stay engaged and accounting stays bit-identical.
+    Like spans, learner telemetry alone ships no events or metrics.
+    No observation changes which code a cell runs: only ``trace_config``
+    pins the base walker.
 
     A shard cell (``spec.shards > 1``) recomputes its request positions
     from the worker's id column, so no index array crosses the pipe, and

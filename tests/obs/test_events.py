@@ -11,7 +11,6 @@ from repro.core.lhr import LhrCache
 from repro.obs import (
     EVENT_TYPES,
     NULL_OBS,
-    NULL_TIMER,
     FanoutRecorder,
     JsonlRecorder,
     MemoryRecorder,
@@ -120,19 +119,7 @@ class TestObservation:
     def test_null_obs_is_shared_and_inert(self):
         assert NULL_OBS.enabled is False
         NULL_OBS.emit("sim.window", index=0)
-        with NULL_OBS.timer("anything") as timer:
-            assert timer is NULL_TIMER
         NULL_OBS.close()
-
-    def test_timer_aggregates_into_registry_histogram(self):
-        obs = Observation()
-        with obs.timer("work_seconds", help="work"):
-            pass
-        with obs.timer("work_seconds"):
-            pass
-        hist = obs.registry.histogram("work_seconds")
-        assert hist.count == 2
-        assert hist.stats.minimum >= 0.0
 
     def test_default_recorder_is_null(self):
         obs = Observation()
@@ -184,8 +171,6 @@ class TestSimulateEmission:
             obs.recorder.by_type("lhr.retrain")
         )
         assert reg.histogram("lhr_train_seconds").count > 0
-        assert reg.histogram("lhr_predict_seconds").count > 0
-        assert reg.histogram("hro_rank_seconds").count > 0
 
     def test_observed_run_matches_unobserved(self, event_trace):
         """Observation must never perturb the simulation itself."""
@@ -297,127 +282,6 @@ class TestFanoutErrorPropagation:
         with pytest.raises(RuntimeError):
             FanoutRecorder(exploding, survivor).flush()
         assert exploding.calls == 1
-
-
-class TestScopedTimerReentrancy:
-    def test_nested_use_records_both_spans(self):
-        from repro.obs import MetricsRegistry, ScopedTimer
-
-        registry = MetricsRegistry()
-        timer = ScopedTimer(registry.histogram("phase_seconds"))
-        with timer:
-            with timer:  # re-entrant: LHR's train inside replay
-                pass
-        hist = registry.histogram("phase_seconds")
-        assert hist.count == 2
-        # The outer span is at least as long as the inner one.
-        assert hist.stats.maximum >= hist.stats.minimum >= 0.0
-
-    def test_exit_without_enter_raises(self):
-        from repro.obs import MetricsRegistry, ScopedTimer
-
-        timer = ScopedTimer(MetricsRegistry().histogram("phase_seconds"))
-        with pytest.raises(RuntimeError, match="exited more times"):
-            timer.__exit__(None, None, None)
-
-    def test_last_seconds_tracks_innermost_completion(self):
-        from repro.obs import MetricsRegistry, ScopedTimer
-
-        timer = ScopedTimer(MetricsRegistry().histogram("phase_seconds"))
-        with timer:
-            pass
-        assert timer.last_seconds >= 0.0
-
-
-class TestScopedTimerThreadSafety:
-    """Satellite: per-thread start stacks — interleaved threads must not
-    pop each other's start times."""
-
-    def test_interleaved_threads_measure_their_own_spans(self):
-        import threading
-        import time as time_module
-
-        from repro.obs import MetricsRegistry, ScopedTimer
-
-        registry = MetricsRegistry()
-        timer = ScopedTimer(registry.histogram("phase_seconds"))
-        a_entered = threading.Event()
-        b_done = threading.Event()
-
-        def long_span():
-            with timer:
-                time_module.sleep(0.05)
-                a_entered.set()
-                assert b_done.wait(5.0)
-
-        def short_span():
-            assert a_entered.wait(5.0)
-            with timer:  # enters and exits while the other span is open
-                pass
-            b_done.set()
-
-        threads = [
-            threading.Thread(target=long_span),
-            threading.Thread(target=short_span),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        hist = registry.histogram("phase_seconds")
-        assert hist.count == 2
-        # With a shared stack the short span would pop the long span's
-        # start and measure >= 50ms; per-thread stacks keep it tiny.
-        assert hist.stats.minimum < 0.05
-        assert hist.stats.maximum >= 0.05
-
-    def test_concurrent_nested_use_keeps_exact_counts(self):
-        import threading
-
-        from repro.obs import MetricsRegistry, ScopedTimer
-
-        registry = MetricsRegistry()
-        timer = ScopedTimer(registry.histogram("phase_seconds"))
-        errors = []
-
-        def hammer():
-            try:
-                for _ in range(200):
-                    with timer:
-                        with timer:
-                            pass
-            except Exception as exc:  # noqa: BLE001 — any raise is a failure
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        assert registry.histogram("phase_seconds").count == 8 * 200 * 2
-
-    def test_exit_on_fresh_thread_raises(self):
-        import threading
-
-        from repro.obs import MetricsRegistry, ScopedTimer
-
-        timer = ScopedTimer(MetricsRegistry().histogram("phase_seconds"))
-        caught = []
-
-        def exit_without_enter():
-            try:
-                timer.__exit__(None, None, None)
-            except RuntimeError as exc:
-                caught.append(exc)
-
-        with timer:
-            # The other thread never entered: its per-thread stack is
-            # empty even though this thread's span is open.
-            thread = threading.Thread(target=exit_without_enter)
-            thread.start()
-            thread.join()
-        assert len(caught) == 1
 
 
 class TestJsonlDurability:

@@ -1,4 +1,4 @@
-"""Tests for the sampling profiler and per-phase attribution."""
+"""Tests for the sampling profiler and the span phase table."""
 
 from __future__ import annotations
 
@@ -6,13 +6,8 @@ import time
 
 import pytest
 
-from repro.obs import MetricsRegistry
-from repro.obs.profile import (
-    PhaseRow,
-    SamplingProfiler,
-    phase_breakdown,
-    profile_simulation,
-)
+from repro.core.model_backends import BatchedBackend
+from repro.obs.profile import SamplingProfiler, profile_simulation
 
 
 def _spin(seconds: float) -> int:
@@ -138,49 +133,6 @@ class TestThreadAwareStacks:
         assert "background-spinner" not in profiler.collapsed()
 
 
-class TestPhaseBreakdown:
-    def test_rows_from_seconds_histograms(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("sim_replay_seconds")
-        hist.observe(2.0)
-        train = registry.histogram("lhr_train_seconds")
-        train.observe(0.25)
-        train.observe(0.25)
-        registry.counter("sim_requests_total").inc(5)  # not a phase
-        registry.histogram("policy_evictions_per_admission").observe(3)
-
-        rows = phase_breakdown(registry, wall_seconds=4.0)
-        assert [row.metric for row in rows] == [
-            "sim_replay_seconds",
-            "lhr_train_seconds",
-        ]  # sorted by total, counters and non-phase histograms skipped
-        replay, training = rows
-        assert replay.phase == "replay loop (total)"
-        assert replay.wall_share == pytest.approx(0.5)
-        assert training.phase == "GBM training"
-        assert training.calls == 2
-        assert training.mean_seconds == pytest.approx(0.25)
-
-    def test_unknown_seconds_histogram_uses_raw_name(self):
-        registry = MetricsRegistry()
-        registry.histogram("custom_stage_seconds").observe(1.0)
-        rows = phase_breakdown(registry, wall_seconds=2.0)
-        assert rows[0].phase == "custom_stage_seconds"
-
-    def test_empty_registry_and_zero_wall(self):
-        assert phase_breakdown(MetricsRegistry(), wall_seconds=0.0) == []
-        registry = MetricsRegistry()
-        registry.histogram("x_seconds").observe(1.0)
-        assert phase_breakdown(registry, wall_seconds=0.0)[0].wall_share == 0.0
-
-    def test_phase_row_as_dict(self):
-        row = PhaseRow(
-            phase="p", metric="m", calls=1, total_seconds=0.5,
-            mean_seconds=0.5, wall_share=0.25,
-        )
-        assert row.as_dict()["wall_share"] == 0.25
-
-
 class TestProfileSimulation:
     def test_report_on_small_replay(self, equal_size_trace, tmp_path):
         report = profile_simulation(
@@ -192,18 +144,38 @@ class TestProfileSimulation:
         assert 0.0 <= report.hit_ratio <= 1.0
         assert report.wall_seconds > 0
         assert report.rss_bytes > 0
-        # The replay always populates sim_replay_seconds.
-        assert any(r.metric == "sim_replay_seconds" for r in report.phases)
+        # The replay always records its sim.replay span.
+        (replay,) = [p for p in report.phases if p.name == "sim.replay"]
+        assert replay.cat == "sim" and replay.count == 1
         text = report.render_text()
-        assert "replay loop (total)" in text
+        assert "sim.replay" in text
         assert "profile: lru" in text
         payload = report.as_dict()
         assert payload["samples"] == report.sample_count
         assert payload["phases"]
+        for row in payload["phases"]:
+            assert set(row) == {
+                "cat", "name", "count", "total_seconds", "self_seconds",
+                "self_share",
+            }
         out = report.write_collapsed(tmp_path / "replay.folded")
         assert out.exists()
 
-    def test_lhr_phases_attributed(self, production_trace, production_capacity):
+    def test_lhr_phases_attributed(
+        self, production_trace, production_capacity, monkeypatch
+    ):
+        """The profile replays LHR's span kernel, which scores blocks and
+        never calls the per-request scorer, and its phase table names
+        the window-close pipeline's spans."""
+        calls = {"score_one": 0, "score_block": 0}
+        for method in calls:
+            original = getattr(BatchedBackend, method)
+
+            def counted(self, *args, _original=original, _method=method):
+                calls[_method] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(BatchedBackend, method, counted)
         report = profile_simulation(
             production_trace,
             "lhr",
@@ -211,9 +183,23 @@ class TestProfileSimulation:
             interval_seconds=0.002,
             policy_kwargs={"seed": 0},
         )
-        names = {row.metric for row in report.phases}
-        assert "sim_replay_seconds" in names
-        assert "lhr_train_seconds" in names  # LHR trained at least once
+        names = {phase.name for phase in report.phases}
+        assert {
+            "sim.replay", "sim.chunk", "hro.rank", "lhr.window_close",
+            "lhr.gbm_refit",
+        } <= names
+        assert calls["score_one"] == 0
+        assert calls["score_block"] > 0
+
+    def test_warmup_rate_counts_every_replayed_request(self, equal_size_trace):
+        warmup = len(equal_size_trace) // 2
+        report = profile_simulation(
+            equal_size_trace, "lru", 64, warmup_requests=warmup,
+            interval_seconds=0.001,
+        )
+        assert report.requests == len(equal_size_trace) - warmup
+        rate = len(equal_size_trace) / report.wall_seconds
+        assert f"{rate:,.0f} req/s" in report.render_text()
 
     def test_write_collapsed_without_profiler_raises(self):
         from repro.obs.profile import ProfileReport

@@ -162,11 +162,11 @@ class TestNullSpans:
     def test_observation_defaults_to_null_spans(self):
         assert Observation().spans is NULL_SPANS
 
-    def test_spans_only_observation_stays_disabled(self):
+    def test_sidecars_only_observation_stays_disabled(self):
         rec = SpanRecorder()
-        obs = Observation.spans_only(rec)
+        obs = Observation.sidecars_only(spans=rec)
         assert obs.spans is rec
-        assert not obs.enabled  # packed fast path must stay engaged
+        assert not obs.enabled  # no events or metrics flow
 
 
 class TestChromeTrace:

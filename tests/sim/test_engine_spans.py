@@ -26,14 +26,14 @@ def names(recorder):
 
 
 class TestPackedPathSpans:
-    def test_spans_only_run_keeps_fast_path_and_results(self, span_trace):
+    def test_sidecars_only_run_keeps_fast_path_and_results(self, span_trace):
         packed = PackedTrace.from_trace(span_trace)
         baseline = simulate(build_policy("lhr", CAPACITY), packed, obs=NULL_OBS)
         rec = SpanRecorder()
         traced = simulate(
             build_policy("lhr", CAPACITY),
             packed,
-            obs=Observation.spans_only(rec),
+            obs=Observation.sidecars_only(spans=rec),
         )
         # Bit-identical accounting: the packed fast path stayed engaged.
         assert traced.counters() == baseline.counters()
@@ -44,7 +44,7 @@ class TestPackedPathSpans:
         simulate(
             build_policy("lhr", CAPACITY),
             PackedTrace.from_trace(span_trace),
-            obs=Observation.spans_only(rec),
+            obs=Observation.sidecars_only(spans=rec),
         )
         got = names(rec)
         assert {"sim.replay", "sim.chunk"} <= got
@@ -74,7 +74,7 @@ class TestPackedPathSpans:
             build_policy("lru", CAPACITY),
             PackedTrace.from_trace(span_trace),
             warmup_requests=500,
-            obs=Observation.spans_only(rec),
+            obs=Observation.sidecars_only(spans=rec),
         )
         warmups = [s for s in rec.spans if s.name == "sim.warmup"]
         assert len(warmups) == 1

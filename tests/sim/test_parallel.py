@@ -616,7 +616,7 @@ class TestSweepSpans:
     def _obs(self):
         from repro.obs import Observation, SpanRecorder
 
-        return Observation.spans_only(SpanRecorder())
+        return Observation.sidecars_only(spans=SpanRecorder())
 
     def test_inline_sweep_records_cell_spans(self, sweep_trace, sweep_capacity):
         obs = self._obs()

@@ -391,7 +391,7 @@ class TestLiveOpsCli:
         ) == 0
         out = capsys.readouterr().out
         assert "profile: lru" in out
-        assert "replay loop (total)" in out
+        assert "sim.replay" in out
         for line in collapsed.read_text().splitlines():
             stack, count = line.rsplit(" ", 1)
             assert stack and int(count) > 0
@@ -407,9 +407,11 @@ class TestLiveOpsCli:
         payload = json.loads(captured.out)
         assert "wrote collapsed stacks" in captured.err
         assert payload["policy"] == "lru"
-        assert any(
-            row["metric"] == "sim_replay_seconds" for row in payload["phases"]
-        )
+        (replay,) = [
+            row for row in payload["phases"] if row["name"] == "sim.replay"
+        ]
+        assert replay["cat"] == "sim" and replay["count"] == 1
+        assert replay["total_seconds"] >= replay["self_seconds"] >= 0.0
 
     def test_profile_rejects_unknown_policy(self, trace_file):
         with pytest.raises(SystemExit):
