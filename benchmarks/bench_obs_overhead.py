@@ -122,7 +122,7 @@ def test_noop_recorder_overhead_under_two_percent(workload, benchmark):
     # check: attach_tracer swaps the ``request``
     # dispatch through the instance dict instead of guarding inside it,
     # and victim capture shadows ``_remove`` only while a traced
-    # admission is in flight.  Assert that construction still holds —
+    # request is in flight.  Assert that construction still holds —
     # an untraced policy must run the seed's exact instruction stream.
     assert "request" not in policy.__dict__, (
         "untraced policy carries a request() shadow; the tracer has "

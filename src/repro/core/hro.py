@@ -48,17 +48,6 @@ class _WindowAccumulator:
     end_time: float = 0.0
     num_requests: int = 0
 
-    def add(self, req: Request) -> None:
-        if self.start_time is None:
-            self.start_time = req.time
-        self.end_time = req.time
-        self.num_requests += 1
-        if req.obj_id not in self.counts:
-            self.counts[req.obj_id] = 0
-            self.sizes[req.obj_id] = req.size
-            self.unique_bytes += req.size
-        self.counts[req.obj_id] += 1
-
     @property
     def duration(self) -> float:
         if self.start_time is None:
@@ -178,9 +167,6 @@ class HroBound:
         )
         return count / (self._elapsed * size)
 
-    def _observe_irt(self, req: Request) -> None:
-        self._observe_irt_scalar(req.obj_id, req.time)
-
     def _observe_irt_scalar(self, obj_id: int, time: float) -> None:
         previous = self._last_time.get(obj_id)
         if previous is not None and time > previous:
@@ -195,12 +181,12 @@ class HroBound:
         return self.process_scalar(req.obj_id, req.size, req.time)
 
     def process_scalar(self, obj_id: int, size: int, time: float) -> bool:
-        """``process`` without a ``Request`` — the columnar fast path.
+        """``process`` without a ``Request``; ``process`` and LHR both
+        call it.
 
-        The accumulator update is inlined and the combined-window elapsed
-        time cached once per request, so hazard queries stay O(1) dict
-        lookups; the classification logic is the reference ``process``
-        verbatim.
+        The window accumulator is updated in place and the
+        combined-window elapsed time cached once per request, so hazard
+        queries stay O(1) dict lookups.
         """
         acc = self._accumulator
         start = acc.start_time

@@ -149,13 +149,12 @@ class LhrCache(CachePolicy):
         self._last_access_time = 0.0
 
         self._current_p = 1.0
+        #: The feature row and ``p`` that ``replay_span`` scored for the
+        #: request it is replaying; None outside a span.
+        self._scored: tuple[np.ndarray, float] | None = None
         self.trainings = 0
         self.training_seconds = 0.0
         self.windows_processed = 0
-        # The native replay_span kernel below inlines this class's hooks
-        # and the base control flow; subclasses overriding either must
-        # stay on the base walker.
-        self._pin_span_kernel(LhrCache, DLhrCache, NLhrCache)
 
     # ------------------------------------------------------------------
     # Observability
@@ -204,24 +203,29 @@ class LhrCache(CachePolicy):
     # ------------------------------------------------------------------
 
     def _on_access(self, req: Request) -> None:
-        self._access_scalar(req.obj_id, req.size, req.time)
-
-    def _access_scalar(self, obj_id: int, size: int, time_: float) -> None:
-        self._last_access_time = time_
-        row = self.features.vector(obj_id, time_, self.num_irts)
-        if self._model is not None:
-            p = min(max(self._backend.score_one(self._model, row), 0.0), 1.0)
+        obj_id = req.obj_id
+        size = req.size
+        now = req.time
+        self._last_access_time = now
+        scored = self._scored
+        if scored is not None:
+            row, p = scored
         else:
-            # Bootstrap (first window): behave as admit-all with p = 1.
-            p = 1.0
+            # Outside a span: gather and score this request alone.
+            row = self.features.vector(obj_id, now, self.num_irts)
+            if self._model is not None:
+                p = min(max(self._backend.score_one(self._model, row), 0.0), 1.0)
+            else:
+                # Bootstrap (first window): behave as admit-all with p = 1.
+                p = 1.0
         self._current_p = p
-        self.features.observe_scalar(obj_id, size, time_)
+        self.features.observe_scalar(obj_id, size, now)
         self._window_rows.append(row)
         self._window_ids.append(obj_id)
         self._window_samples.append(
-            WindowSample(obj_id=obj_id, size=size, time=time_, probability=p)
+            WindowSample(obj_id=obj_id, size=size, time=now, probability=p)
         )
-        self.hro.process_scalar(obj_id, size, time_)
+        self.hro.process_scalar(obj_id, size, now)
 
     def _on_hit(self, req: Request) -> None:
         p = self._current_p
@@ -263,9 +267,7 @@ class LhrCache(CachePolicy):
         return p / (self._sizes[obj_id] * irt1)
 
     def _select_victim(self, incoming: Request) -> int:
-        return self._select_victim_scalar(incoming.time)
-
-    def _select_victim_scalar(self, now: float) -> int:
+        now = incoming.time
         if len(self._eviction_candidates):
             pool = self._eviction_candidates.sample(self._num_candidates, self._rng)
         else:
@@ -303,121 +305,42 @@ class LhrCache(CachePolicy):
 
         The span's feature rows are assembled in one
         ``FeatureStore.feature_matrix`` gather and scored in one model
-        backend call; a sequential loop then applies the exact
-        per-request control flow of ``request`` + ``_access_scalar``
-        (observe, window buffers, HRO, hit/miss bookkeeping, eviction),
-        reading ``delta`` after HRO processing just like the scalar
-        path.  When HRO closes a window mid-span the model, threshold
-        and feature store may all change, so the loop breaks and the
-        span tail is re-gathered and re-scored under the new state —
-        which is precisely what per-request scoring would have seen.
-        Equivalence tests pin this kernel bit-identical to ``request``;
-        traced runs are routed to the base walker by
-        ``_pin_span_kernel``.
+        backend call.  Each request then runs through ``request``, the
+        base control flow with this class's hooks, and ``_on_access``
+        takes the row and ``p`` scored for it instead of scoring alone.
+        ``request`` is whatever the instance carries, so subclass hooks
+        and an attached decision tracer see every request.  When HRO
+        closes a window mid-span the model, threshold and feature store
+        may all change, so the walk stops and the span tail is
+        re-gathered and re-scored under the new state — which is
+        precisely what per-request scoring would have seen.
         """
         features = self.features
-        num_irts = self.num_irts
         score_block = self._backend.score_block
-        observe = features.observe_scalar
-        hro_process = self.hro.process_scalar
-        select_victim = self._select_victim_scalar
-        estimator = self.estimator
-        window_rows = self._window_rows
-        window_ids = self._window_ids
-        window_samples = self._window_samples
-        sizes_map = self._sizes
-        probabilities = self._probabilities
-        candidates = self._eviction_candidates
-        cached_ids = self._cached_ids
-        capacity = self.capacity
-
+        request = self.request
         i = begin
-        while i < end:
-            block = features.feature_matrix(
-                obj_ids, sizes, times, i, end, num_irts
-            )
-            model = self._model
-            probs = (
-                score_block(model, block).tolist()
-                if model is not None
-                else None
-            )
-            ids = obj_ids[i:end]
-            ids = ids.tolist() if hasattr(ids, "tolist") else list(ids)
-            szs = sizes[i:end]
-            szs = szs.tolist() if hasattr(szs, "tolist") else list(szs)
-            tms = times[i:end]
-            tms = tms.tolist() if hasattr(tms, "tolist") else list(tms)
-            used = self._used
-            hits = self.hits
-            hit_bytes = self.hit_bytes
-            misses = self.misses
-            miss_bytes = self.miss_bytes
-            admissions = self.admissions
-            evictions = self.evictions
-            windows_before = self.windows_processed
-            n = end - i
-            k = 0
-            while k < n:
-                oid = ids[k]
-                size = szs[k]
-                now = tms[k]
-                self._last_access_time = now
-                row = block[k]
-                if probs is None:
-                    p = 1.0
-                else:
-                    p = min(max(probs[k], 0.0), 1.0)
-                self._current_p = p
-                observe(oid, size, now)
-                window_rows.append(row)
-                window_ids.append(oid)
-                window_samples.append(
-                    WindowSample(obj_id=oid, size=size, time=now, probability=p)
+        try:
+            while i < end:
+                block = features.feature_matrix(
+                    obj_ids, sizes, times, i, end, self.num_irts
                 )
-                hro_process(oid, size, now)
-                delta = estimator.delta
-                if oid in sizes_map:
-                    hits += 1
-                    hit_bytes += size
-                    probabilities[oid] = p
-                    if p < delta:
-                        candidates.add(oid)
-                    else:
-                        candidates.discard(oid)
-                else:
-                    misses += 1
-                    miss_bytes += size
-                    if size <= capacity and p >= delta:
-                        while used + size > capacity:
-                            victim = select_victim(now)
-                            if victim not in sizes_map:
-                                raise RuntimeError(
-                                    f"{self.name}: victim {victim} is not cached"
-                                )
-                            used -= sizes_map.pop(victim)
-                            evictions += 1
-                            probabilities.pop(victim, None)
-                            candidates.discard(victim)
-                            cached_ids.discard(victim)
-                        sizes_map[oid] = size
-                        used += size
-                        admissions += 1
-                        probabilities[oid] = p
-                        cached_ids.add(oid)
-                k += 1
-                if self.windows_processed != windows_before:
-                    # Window closed: model/delta/features may have
-                    # changed — re-score the span tail under new state.
-                    break
-            self._used = used
-            self.hits = hits
-            self.hit_bytes = hit_bytes
-            self.misses = misses
-            self.miss_bytes = miss_bytes
-            self.admissions = admissions
-            self.evictions = evictions
-            i += k
+                model = self._model
+                probs = (
+                    score_block(model, block).tolist() if model is not None else None
+                )
+                windows_before = self.windows_processed
+                for k in range(end - i):
+                    p = 1.0 if probs is None else min(max(probs[k], 0.0), 1.0)
+                    self._scored = (block[k], p)
+                    j = i + k
+                    request(Request(times[j], obj_ids[j], sizes[j], j))
+                    if self.windows_processed != windows_before:
+                        # Window closed: model/delta/features may have
+                        # changed — re-score the span tail under new state.
+                        break
+                i += k + 1
+        finally:
+            self._scored = None
 
     # ------------------------------------------------------------------
     # Window pipeline: detection -> estimation -> training

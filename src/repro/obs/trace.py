@@ -6,7 +6,7 @@ says *why*.  A :class:`DecisionTracer` attached to a policy (via
 for every request, the admission verdict with its inputs — the admission
 probability ``p_i``, the current threshold ``delta``, the object size,
 and the window hazard rank when the policy can supply one — plus the
-eviction victims the admission displaced.
+eviction victims the request displaced.
 
 On top of the raw records the tracer maintains a streaming **miss
 taxonomy** classifying every miss into exactly one of four classes:
@@ -20,8 +20,8 @@ taxonomy** classifying every miss into exactly one of four classes:
   resident because its last admission decision rejected it (for LHR:
   ``p_i < delta``; the tracer counts those separately too).
 * ``evicted_early`` — the content was admitted and then evicted before
-  this re-reference; the miss is attributed to the request whose
-  admission displaced it.
+  this re-reference; the miss is attributed to the request that
+  displaced it.
 
 The class counts always sum exactly to the total number of misses: every
 miss is either a first occurrence (cold ∪ one-hit-wonder) or a re-miss,
@@ -69,8 +69,10 @@ class DecisionRecord:
     policy's decision inputs when it has them (LHR's ``p_i``/``delta``;
     HRO's size-normalized hazard threshold), ``hazard_rank`` the
     content's position in the current window's hazard ranking (0 =
-    hottest) when tracked.  ``victims`` lists the contents this
-    request's admission evicted.  ``miss_class`` is the streaming
+    hottest) when tracked.  ``victims`` lists the contents this request
+    evicted: on a miss its admission's victims, and on a hit any that a
+    hook evicted (an S4LRU promotion cascades out of the lowest
+    segment).  ``miss_class`` is the streaming
     classification — ``cold`` entries may resolve to one-hit-wonders
     once the whole trace has been seen (:meth:`DecisionTracer.class_of`).
     """
@@ -167,8 +169,8 @@ class MissTaxonomy:
 class DecisionTracer:
     """Streaming per-request decision recorder and miss classifier.
 
-    Policies call :meth:`observe` once per request (see
-    ``CachePolicy._request_traced``); anything that produces per-request
+    Policies call :meth:`observe` once per request, after it has run
+    (see ``CachePolicy._request_traced``); anything that produces per-request
     verdicts — HRO included — can feed one directly.  The tracer never
     touches the policy: it is pure bookkeeping, picklable, and safe to
     ship across process boundaries with a sweep result.
@@ -321,7 +323,7 @@ class DecisionTracer:
         return MISS_COLD
 
     def top_evictors(self, n: int = 5) -> list[tuple[int, int]]:
-        """The contents whose admissions caused the most early-eviction
+        """The contents whose requests caused the most early-eviction
         misses, as ``(obj_id, misses_caused)`` pairs."""
         return self.evictor_counts.most_common(n)
 

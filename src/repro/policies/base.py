@@ -52,10 +52,11 @@ class CachePolicy(ABC):
         #: ``request`` dispatch (see ``attach_tracer``), so the untraced
         #: path carries zero added per-request cost.
         self.tracer: DecisionTracer | None = None
-        #: Victim collector; a list only while a traced admission runs.
+        #: Victim collector; a list only while a traced request is in
+        #: flight.
         self._trace_victims: list[int] | None = None
-        #: The exact classes a native ``replay_span`` was written for;
-        #: empty for policies without one (see ``_pin_span_kernel``).
+        #: The exact classes an inlined ``replay_span`` was written for;
+        #: empty for every other policy (see ``_pin_span_kernel``).
         self._kernel_classes: tuple[type, ...] = ()
 
     # ------------------------------------------------------------------
@@ -93,53 +94,35 @@ class CachePolicy(ABC):
         return False
 
     def _request_traced(self, req: Request) -> bool:
-        """The ``request`` control flow with decision recording.
+        """``request`` with decision recording.
 
-        Identical to the fast path except that the admission verdict,
-        its inputs (``decision_inputs``) and any eviction victims are
-        captured and handed to the tracer.  Installed over ``request``
-        via the instance dict by ``attach_tracer``.
+        Installed over ``request`` via the instance dict by
+        ``attach_tracer``.  It runs the class's own ``request`` with
+        ``_remove`` shadowed by ``_capture_remove``, so every eviction
+        the request causes lands in its record, whether an admission or
+        a hook made it (an S4LRU hit cascades).  Then it hands the tracer
+        the verdict, whether a miss was admitted (the ``admissions``
+        counter moved) and ``decision_inputs`` read after the request.
         """
-        tracer = self.tracer
-        self._on_access(req)
-        if req.obj_id in self._sizes:
-            self.hits += 1
-            self.hit_bytes += req.size
-            self._on_hit(req)
-            probability, threshold, rank = self.decision_inputs(req)
-            tracer.observe(
-                req,
-                hit=True,
-                probability=probability,
-                threshold=threshold,
-                hazard_rank=rank,
-            )
-            return True
-        self.misses += 1
-        self.miss_bytes += req.size
-        self._on_miss(req)
+        admissions = self.admissions
+        victims = self._trace_victims = []
+        self._remove = self._capture_remove
+        try:
+            hit = type(self).request(self, req)
+        finally:
+            self._trace_victims = None
+            del self.__dict__["_remove"]
         probability, threshold, rank = self.decision_inputs(req)
-        admitted = req.size <= self.capacity and self._should_admit(req)
-        victims: tuple[int, ...] = ()
-        if admitted:
-            self._trace_victims = []
-            self._remove = self._capture_remove
-            try:
-                self._admit(req)
-            finally:
-                victims = tuple(self._trace_victims)
-                self._trace_victims = None
-                del self.__dict__["_remove"]
-        tracer.observe(
+        self.tracer.observe(
             req,
-            hit=False,
-            admitted=admitted,
+            hit=hit,
+            admitted=None if hit else self.admissions > admissions,
             probability=probability,
             threshold=threshold,
             hazard_rank=rank,
-            victims=victims,
+            victims=tuple(victims),
         )
-        return False
+        return hit
 
     def replay_span(self, obj_ids, sizes, times, begin: int, end: int) -> None:
         """Replay requests ``[begin, end)`` given as parallel scalar columns.
@@ -147,12 +130,15 @@ class CachePolicy(ABC):
         The engine feeds every trace through this, one bookkeeping-free
         chunk per call.  This base walker builds a ``Request`` per
         request and calls :meth:`request`, so it is exact for every
-        policy and carries every hook and decision record.  Hot
-        policies override it with a span kernel: ``request`` with their
-        hooks inlined, state held in locals and counters written back
-        once at the span edge.  The engine reads counters only at span
-        boundaries, so deferred write-back is observationally identical.
-        ``_pin_span_kernel`` decides which of the two runs.
+        policy and carries every hook and decision record.  Four classic
+        policies (LRU, LRU-K, LFU-DA, B-LRU) override it with a span
+        kernel: ``request`` with their hooks inlined, state held in
+        locals and counters written back once at the span edge.  The
+        engine reads counters only at span boundaries, so deferred
+        write-back is observationally identical.  ``_pin_span_kernel``
+        decides which of the two runs.  LHR's override block-scores the
+        span and then walks ``request`` like this walker, so it needs no
+        pin.
         """
         request = self.request
         for i in range(begin, end):
@@ -160,11 +146,11 @@ class CachePolicy(ABC):
 
     def _pin_span_kernel(self, *kernel_classes: type) -> None:
         """The pin rule: keep this instance on the base walker unless its
-        native span kernel is safe to run.
+        inlined span kernel is safe to run.
 
-        A span kernel inlines the base control flow and its class's
-        hooks, and skips decision tracing.  So the walker is pinned
-        through the instance dict while a tracer is attached, and
+        An inlined span kernel copies the base control flow and its
+        class's hooks, and skips decision tracing.  So the walker is
+        pinned through the instance dict while a tracer is attached, and
         whenever ``type(self)`` is not one of the classes the kernel was
         written for (a subclass overriding a hook or ``request`` would
         silently lose it).  An attached observation never pins: events,
@@ -172,10 +158,15 @@ class CachePolicy(ABC):
         chunk edges and the window-close pipeline, which both tiers
         share.  Kernel-bearing classes call this from ``__init__`` with
         those exact classes; ``attach_tracer`` calls it again, and
-        detaching restores the kernel.
+        detaching restores the kernel.  A policy that registered no
+        classes is never pinned: its ``replay_span``, the base walker or
+        one that walks ``request`` like LHR's, runs whatever ``request``
+        and hooks the instance carries.
         """
         if kernel_classes:
             self._kernel_classes = kernel_classes
+        if not self._kernel_classes:
+            return
         if type(self) in self._kernel_classes and self.tracer is None:
             self.__dict__.pop("replay_span", None)
         else:
@@ -221,7 +212,13 @@ class CachePolicy(ABC):
         Attaching shadows ``request`` with ``_request_traced`` through
         the instance dict, so untraced policies run the seed's exact
         instruction stream — no per-request guard on the disabled path
-        (``bench_obs_overhead`` asserts this stays true).
+        (``bench_obs_overhead`` asserts this stays true).  The wrapper
+        sees decisions only through ``_remove`` and the counters, so a
+        class that overrides ``request`` (``TieredCache`` bypasses both)
+        is rejected with ``ValueError``.  An inlined span kernel is
+        pinned to the base walker while the tracer is attached
+        (``_pin_span_kernel``); LHR's kernel walks ``request`` and keeps
+        running.
 
         Subclasses whose decision inputs need extra bookkeeping (LHR's
         hazard-rank tracking) override this; they must call
@@ -307,7 +304,7 @@ class CachePolicy(ABC):
 
     def _capture_remove(self, obj_id: int) -> None:
         """``_remove`` plus victim capture; shadows ``_remove`` through
-        the instance dict only while a traced admission is in flight, so
+        the instance dict only while a traced request is in flight, so
         untraced evictions pay no guard."""
         self._trace_victims.append(obj_id)
         type(self)._remove(self, obj_id)

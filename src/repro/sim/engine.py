@@ -209,8 +209,10 @@ def replay_into(
 
     ``replay_span`` is the policy's native span kernel or the base
     walker, which calls ``request`` per request.  Attaching ``tracer``
-    pins the walker (``CachePolicy._pin_span_kernel``), so decision
-    records come from ``request`` itself; ``obs`` never does.  Everything
+    pins the walker over an inlined classic kernel
+    (``CachePolicy._pin_span_kernel``), and LHR's kernel walks
+    ``request`` too, so decision records always come from ``request``
+    itself; ``obs`` never pins.  Everything
     the loop records costs one check per chunk, never per request:
     ``sim.window`` events at each window rollover while ``obs`` is
     enabled, the ``sim.replay``/``sim.warmup``/``sim.window`` spans plus

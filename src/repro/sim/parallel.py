@@ -19,7 +19,8 @@ same engine loop, worker entry and pool.  Design constraints, in order:
   shared memory fall back to pickling the packed arrays once per worker.
   Workers replay the shared columns directly through the engine's one
   chunked loop, observed and traced cells included: a tracer only pins
-  the policy onto the base walker, it never changes the trace.
+  an inlined classic kernel onto the base walker, it never changes the
+  trace.
 * **Failure containment** — a cell that raises is captured in the worker
   (policy name, capacity and full traceback) and reported after every
   sibling cell has finished; one bad cell never hangs the pool or
@@ -295,7 +296,7 @@ def _run_cell(
     outcome's result slot back for the driver to absorb grid-ordered.
     Like spans, learner telemetry alone ships no events or metrics.
     No observation changes which code a cell runs: only ``trace_config``
-    pins the base walker.
+    pins the base walker, over an inlined classic kernel.
 
     A shard cell (``spec.shards > 1``) recomputes its request positions
     from the worker's id column, so no index array crosses the pipe, and

@@ -14,7 +14,7 @@ from repro.obs.trace import (
 )
 from repro.policies import make_policy
 from repro.policies.base import CachePolicy
-from repro.sim import build_policy, simulate
+from repro.sim import build_policy, known_policies, simulate
 from repro.sim.hierarchy import TieredCache
 from repro.traces.request import Request
 from repro.traces.synthetic import irm_trace
@@ -104,6 +104,23 @@ class TestClassification:
         assert sum(tax.counts().values()) == tax.total
         assert tracer.hits == policy.hits
         assert tracer.is_complete
+
+    @pytest.mark.parametrize("name", known_policies())
+    def test_every_eviction_is_attributed(self, name):
+        """Each eviction lands in the record of the request that caused
+        it, an admission's or a hit's (S4LRU's promotions cascade)."""
+        trace = irm_trace(
+            1200, 100, alpha=0.9, mean_size=1 << 14, size_sigma=1.2, seed=7
+        )
+        kwargs = {
+            "lrb": {"training_batch": 256, "max_training_data": 1024},
+            "lfo": {"window_requests": 200},
+        }.get(name, {})
+        policy = build_policy(name, int(0.15 * trace.unique_bytes()), **kwargs)
+        tracer = DecisionTracer()
+        simulate(policy, trace, tracer=tracer)
+        assert sum(len(r.victims) for r in tracer.records) == policy.evictions
+        assert tracer.taxonomy().unattributed_evictions == 0
 
     def test_lhr_records_probability_and_threshold(self):
         trace = irm_trace(3000, 150, seed=5)
