@@ -10,8 +10,10 @@ integral optimum, so classifying a request as a hit iff its content sits
 in that greedy prefix yields an upper bound on the hit probability of
 every non-anticipative policy.
 
-``hazard_top_set`` computes the greedy prefix; ``exact_hazard_bound``
-evaluates the bound when the per-content request rates are known exactly
+``hazard_knapsack`` is that greedy fill, the one descending-hazard walk
+behind the top set, the marginal hazard and the hazard ranks;
+``hazard_top_set`` returns its prefix.  ``exact_hazard_bound`` evaluates
+the bound when the per-content request rates are known exactly
 (synthetic IRM workloads, where the Poisson hazard is the constant rate
 ``lambda_i``).
 """
@@ -26,49 +28,48 @@ from repro.bounds.belady import BoundResult
 from repro.traces.request import Request
 
 
+def hazard_knapsack(
+    hazards: np.ndarray,
+    sizes: np.ndarray,
+    capacity: int,
+) -> tuple[np.ndarray, int, float]:
+    """Fill a ``capacity``-byte cache in descending size-normalized hazard.
+
+    ``hazards`` must already be size-normalized (``zeta_i / s_i``) and
+    ``sizes`` are byte counts.  Returns ``(order, fill, threshold)``:
+
+    * ``order`` — content positions hottest first.  Ties keep the
+      reversed order of a stable argsort, so a content's hazard rank is
+      its index here and the top set is always a rank prefix.
+    * ``fill`` — the top set is ``order[:fill]``.  Contents are taken
+      until the next one no longer fits entirely; the partially-fitting
+      content of the fractional solution is *included* — generosity
+      keeps the bound an upper bound.  A content with a non-positive
+      hazard is never taken.
+    * ``threshold`` — the marginal hazard: that of the first content
+      whose cumulative size reaches ``capacity``, or 0.0 when everything
+      fits (any re-request is then a potential hit).
+    """
+    if capacity <= 0:
+        raise ValueError("capacity must be positive")
+    order = np.argsort(hazards, kind="stable")[::-1]
+    ranked = hazards[order]
+    overflow = int(np.searchsorted(np.cumsum(sizes[order]), capacity))
+    threshold = float(ranked[overflow]) if overflow < len(order) else 0.0
+    nonpositive = np.flatnonzero(ranked <= 0)
+    fill = min(overflow + 1, int(nonpositive[0]) if nonpositive.size else len(order))
+    return order, fill, threshold
+
+
 def hazard_top_set(
     obj_ids: Sequence[int],
     hazards: np.ndarray,
     sizes: np.ndarray,
     capacity: int,
-) -> set[int]:
-    """Contents in the fractional-knapsack prefix by size-normalized hazard.
-
-    ``hazards`` must already be size-normalized (``zeta_i / s_i``);
-    contents are taken in descending hazard order until the next one no
-    longer fits entirely.  The partially-fitting content of the fractional
-    solution is *included* — generosity keeps the bound an upper bound.
-    """
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    order = np.argsort(hazards, kind="stable")[::-1]
-    top: set[int] = set()
-    used = 0
-    for idx in order:
-        size = int(sizes[idx])
-        if hazards[idx] <= 0:
-            break
-        top.add(obj_ids[idx])
-        used += size
-        if used >= capacity:
-            break
-    return top
-
-
-def hazard_ranks(
-    obj_ids: Sequence[int],
-    hazards: np.ndarray,
-) -> dict[int, int]:
-    """Dense 0-based rank of each content by descending hazard.
-
-    Rank 0 is the hottest content — the first the fractional knapsack
-    would cache.  Ties break with the same stable ordering
-    :func:`hazard_top_set` uses, so the top set is always a rank prefix.
-    Decision traces record this as the ``hazard_rank`` of a request when
-    the policy tracks it.
-    """
-    order = np.argsort(hazards, kind="stable")[::-1]
-    return {obj_ids[int(idx)]: rank for rank, idx in enumerate(order)}
+) -> frozenset[int]:
+    """Contents in the fractional-knapsack prefix (:func:`hazard_knapsack`)."""
+    order, fill, _ = hazard_knapsack(hazards, sizes, capacity)
+    return frozenset([obj_ids[i] for i in order[:fill].tolist()])
 
 
 def exact_hazard_bound(

@@ -17,8 +17,16 @@ knowing the true inter-request distributions:
 4. A request is classified a hit iff its content is in the current HRO
    set and has been requested before.
 
-The per-window hit/miss classifications are also the supervision labels
-LHR trains on (Section 5.2.4); ``window_labels`` exposes them.
+:class:`HroBound` has two entry points over one window accumulator.
+``process_scalar`` is the window accountant: it adds a request to the
+open window and closes the window when it is full, building the closed
+:class:`HroWindow` with that window's own top set.  Those top sets are
+the supervision labels LHR trains on (Section 5.2.4; ``window_labels``),
+and the accountant is all LHR runs per request.  ``process`` is the
+bound: it classifies the request against the ranking in force, counts
+the hit, then accounts the request.  The ranking of the two most recent
+closed windows is computed once per close, when ``process``,
+``hazard_threshold`` or ``hazard_rank`` first asks for it.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 from collections import deque
 
 from repro.bounds.belady import BoundResult
-from repro.bounds.hazard import hazard_ranks, hazard_top_set
+from repro.bounds.hazard import hazard_knapsack, hazard_top_set
 from repro.core.hazard_models import HAZARD_MODELS, fit_hazard_model
 from repro.obs import NULL_OBS
 from repro.traces.request import Request, Trace
@@ -76,13 +84,15 @@ class HroWindow:
 
 
 class HroBound:
-    """Streaming HRO computation.
+    """Streaming HRO over one window accumulator.
 
-    Feed requests one at a time with :meth:`process`; it returns the HRO
-    hit/miss classification for the request.  Closed windows are kept in
-    :attr:`windows` (statistics only).  ``on_window`` may be set to a
-    callable invoked with each closed :class:`HroWindow` — LHR hooks its
-    detection/training pipeline there.
+    :meth:`process` is the bound: it returns the HRO hit/miss
+    classification of a request and counts it.  :meth:`process_scalar`
+    is the window accountant alone, which is all LHR runs.  Closed
+    windows are kept in :attr:`windows` (statistics and each window's own
+    top set).  ``on_window`` may be set to a callable invoked with each
+    closed :class:`HroWindow` — LHR hooks its detection/training
+    pipeline there.
     """
 
     def __init__(
@@ -114,58 +124,54 @@ class HroBound:
         #: floor keeps the training set meaningful.
         self.min_window_requests = min_window_requests
         self._accumulator = _WindowAccumulator()
-        # Statistics of the previous (closed) window; runtime hazards are
-        # computed over previous + current so the estimate is online and
-        # keeps updating as requests arrive within the open window.
-        self._prev_counts: dict[int, int] = {}
-        self._prev_duration = 0.0
-        #: Combined previous+current window elapsed time, refreshed once
-        #: per request (and at rotation) instead of recomputed from the
-        #: accumulator for every hazard query.
-        self._elapsed = 1e-9
-        self._combined_sizes: dict[int, int] = {}
-        #: Hazard admission threshold: the marginal size-normalized hazard
-        #: of the fractional-knapsack prefix, refreshed at window closes.
-        #: A request passes with a strictly larger hazard, or by being in
-        #: the materialized top set (the tie-break: among equal-hazard
-        #: contents only the knapsack winners count as cached).
-        self._hazard_threshold = 0.0
-        self._top_set: frozenset[int] = frozenset()
-        self._have_threshold = False
+        #: The ranking in force, ``(threshold, fill, ranks)`` (see
+        #: :meth:`_ranking`): empty before the first close, and None from
+        #: each close until something asks for it.
+        self._ranked: tuple[float, int, dict[int, int]] | None = (0.0, 0, {})
         self._seen: set[int] = set()
         # Non-Poisson estimators need per-content IRT samples and fitted
-        # models (refreshed at window closes).
+        # models; each close refits them and fixes the hazards the next
+        # ranking sorts.
         self._irts: dict[int, deque] = {}
         self._last_time: dict[int, float] = {}
         self._models: dict = {}
+        self._model_hazards: tuple[list[int], np.ndarray, np.ndarray] | None = None
         self.windows: list[HroWindow] = []
         self.on_window = None
-        #: When True, :meth:`process` stores each request's cacheability
-        #: verdict in :attr:`last_would_cache` and window closes refresh
-        #: the per-content hazard ranking for :meth:`hazard_rank`.
-        #: Costs one attribute check per request when off; decision
-        #: tracing (:mod:`repro.obs.trace`) turns it on.
-        self.track_decisions = False
+        #: The cacheability verdict :meth:`process` reached for the last
+        #: request, hit or miss: the content is in the ranking's top set
+        #: or its hazard beats the marginal one (always True before the
+        #: first close).
         self.last_would_cache = True
-        self._ranks: dict[int, int] = {}
-        #: Observation handle (:mod:`repro.obs`): window closes record the
-        #: hazard re-ranking as an ``hro.rank`` span.
+        #: Observation handle (:mod:`repro.obs`): window closes record
+        #: their top-set ranking as an ``hro.rank`` span.
         self.obs = NULL_OBS
         self.hits = 0
         self.hit_bytes = 0
         self.requests = 0
         self.total_bytes = 0
 
-    def _hazard(self, obj_id: int, size: int, now: float | None = None) -> float:
-        if self.hazard_model != "poisson" and now is not None:
+    def _hazard(self, obj_id: int, size: int, now: float) -> float:
+        """The size-normalized hazard a request for ``obj_id`` arriving at
+        ``now`` is classified with, read before the request is accounted:
+        a fitted model's hazard at the content's age, else its Poisson
+        rate over the last closed window and the open one."""
+        if self.hazard_model != "poisson":
             model = self._models.get(obj_id)
             if model is not None:
                 age = max(now - self._last_time.get(obj_id, now), 0.0)
                 return model.hazard(age) / size
-        count = self._prev_counts.get(obj_id, 0) + self._accumulator.counts.get(
-            obj_id, 0
-        )
-        return count / (self._elapsed * size)
+        last = self.windows[-1]
+        acc = self._accumulator
+        # The ``+ 1`` counts the request being classified, so its own
+        # arrival vouches for it: ROADMAP item 2's self-counting leak (a
+        # hazard rate is the intensity just *before* an arrival).
+        count = last.counts.get(obj_id, 0) + acc.counts.get(obj_id, 0) + 1
+        start = acc.start_time
+        duration = now - start if start is not None else 0.0
+        if duration < 1e-9:
+            duration = 1e-9
+        return count / ((last.duration + duration) * size)
 
     def _observe_irt_scalar(self, obj_id: int, time: float) -> None:
         previous = self._last_time.get(obj_id)
@@ -175,23 +181,57 @@ class HroBound:
                 gaps = deque(maxlen=16)
                 self._irts[obj_id] = gaps
             gaps.append(time - previous)
+        self._last_time[obj_id] = time
 
     def process(self, req: Request) -> bool:
-        """Classify one request under HRO and update window state."""
-        return self.process_scalar(req.obj_id, req.size, req.time)
+        """Classify one request under HRO, count it, then account it.
 
-    def process_scalar(self, obj_id: int, size: int, time: float) -> bool:
-        """``process`` without a ``Request``; ``process`` and LHR both
-        call it.
+        The request is cacheable iff its hazard strictly exceeds the
+        marginal hazard of the ranking in force, or its content is in
+        that ranking's top set (the tie-break: among equal-hazard
+        contents only the knapsack winners count as cached).  It is a hit
+        iff cacheable and requested before.  The verdict is left in
+        :attr:`last_would_cache`; :meth:`process_scalar` then adds the
+        request to the open window.
+        """
+        obj_id = req.obj_id
+        size = req.size
+        time = req.time
+        if self.windows:
+            threshold, fill, ranks = self._ranking()
+            # The top set is the ranking's first ``fill`` places.
+            would_cache = (
+                self._hazard(obj_id, size, time) > threshold
+                or ranks.get(obj_id, fill) < fill
+            )
+        else:
+            # Before the first window closes there is no ranking yet; any
+            # re-request counts (the InfiniteCap rule), which errs on the
+            # generous side and so preserves the upper-bound property.
+            would_cache = True
+        hit = would_cache and obj_id in self._seen
+        self.last_would_cache = would_cache
+        if hit:
+            self.hits += 1
+            self.hit_bytes += size
+        self.requests += 1
+        self.total_bytes += size
+        self._seen.add(obj_id)
+        self.process_scalar(obj_id, size, time)
+        return hit
 
-        The window accumulator is updated in place and the
-        combined-window elapsed time cached once per request, so hazard
-        queries stay O(1) dict lookups.
+    def process_scalar(self, obj_id: int, size: int, time: float) -> None:
+        """Add one request to the open window, and close the window once
+        it holds ``window_bytes`` of distinct content and at least
+        ``min_window_requests`` requests.
+
+        The window accountant alone: no classification, no ranking.  LHR
+        calls only this, since its labels are each closed window's own
+        top set; :meth:`process` calls it after classifying.
         """
         acc = self._accumulator
-        start = acc.start_time
-        if start is None:
-            acc.start_time = start = time
+        if acc.start_time is None:
+            acc.start_time = time
         acc.end_time = time
         acc.num_requests += 1
         counts = acc.counts
@@ -201,152 +241,116 @@ class HroBound:
             counts[obj_id] = 1
             acc.sizes[obj_id] = size
             acc.unique_bytes += size
-        duration = time - start
-        if duration < 1e-9:
-            duration = 1e-9
-        self._elapsed = self._prev_duration + duration
         if self.hazard_model != "poisson":
             self._observe_irt_scalar(obj_id, time)
-        if self._have_threshold:
-            seen = obj_id in self._seen
-            if seen or self.track_decisions:
-                would_cache = (
-                    self._hazard(obj_id, size, time) > self._hazard_threshold
-                    or obj_id in self._top_set
-                )
-            else:
-                # The verdict is only needed for seen contents (a first
-                # request can never hit) unless a tracer wants it.
-                would_cache = False
-            hit = seen and would_cache
-        else:
-            # Before the first window closes there is no ranking yet; any
-            # re-request counts (the InfiniteCap rule), which errs on the
-            # generous side and so preserves the upper-bound property.
-            would_cache = True
-            hit = obj_id in self._seen
-        if self.track_decisions:
-            self.last_would_cache = would_cache
-        if hit:
-            self.hits += 1
-            self.hit_bytes += size
-        self.requests += 1
-        self.total_bytes += size
-        self._seen.add(obj_id)
-        if self.hazard_model != "poisson":
-            self._last_time[obj_id] = time
         if (
             acc.unique_bytes >= self.window_bytes
             and acc.num_requests >= self.min_window_requests
         ):
             self._close_window()
-        return hit
 
     def _close_window(self) -> None:
-        # Span only the hazard re-ranking; the on_window callback (LHR's
-        # detection/training pipeline) records its own spans.
+        acc = self._accumulator
+        # Span only HRO's own close work: the closed window's top set (and
+        # the refit of non-Poisson models).  The on_window callback —
+        # LHR's detection/training pipeline — records its own spans.
         with self.obs.spans.span("hro.rank", cat="hro"):
-            window = self._rank_and_rotate()
+            # The window takes over the accumulator's dicts; a fresh
+            # accumulator replaces it below.
+            window = HroWindow(
+                index=len(self.windows),
+                num_requests=acc.num_requests,
+                unique_bytes=acc.unique_bytes,
+                duration=acc.duration,
+                counts=acc.counts,
+                sizes=acc.sizes,
+                top_set=compute_top_set(
+                    acc.counts, acc.sizes, acc.duration, self.capacity
+                ),
+            )
+            self.windows.append(window)
+            self._accumulator = _WindowAccumulator()
+            self._ranked = None
+            if self.hazard_model != "poisson":
+                self._refit_models(acc.end_time)
         if self.on_window is not None:
             self.on_window(window)
 
-    def _rank_and_rotate(self) -> HroWindow:
-        acc = self._accumulator
-        window = HroWindow(
-            index=len(self.windows),
-            num_requests=acc.num_requests,
-            unique_bytes=acc.unique_bytes,
-            duration=acc.duration,
-            counts=dict(acc.counts),
-            sizes=dict(acc.sizes),
-            top_set=compute_top_set(acc.counts, acc.sizes, acc.duration, self.capacity),
-        )
-        self.windows.append(window)
-        # Refresh the runtime hazard threshold from the combined stats of
-        # the two most recent windows (matching the runtime estimator).
-        combined = dict(self._prev_counts)
-        for obj_id, count in acc.counts.items():
-            combined[obj_id] = combined.get(obj_id, 0) + count
-        sizes = {**self._combined_sizes, **acc.sizes}
-        duration = max(self._prev_duration + acc.duration, 1e-9)
-        self._hazard_threshold = marginal_hazard(
-            combined, sizes, duration, self.capacity
-        )
-        self._top_set = frozenset(
-            compute_top_set(combined, sizes, duration, self.capacity)
-        )
-        if self.track_decisions:
-            self._ranks = compute_hazard_ranks(combined, sizes, duration)
-        self._have_threshold = True
-        if self.hazard_model != "poisson":
-            self._refit_models(combined, sizes, duration, acc.end_time)
-        self._prev_counts = dict(acc.counts)
-        self._prev_duration = acc.duration
-        self._combined_sizes = dict(acc.sizes)
-        self._accumulator = _WindowAccumulator()
-        # Fresh accumulator has zero duration: elapsed is the previous
-        # window's span (floored like the reference computation).
-        self._elapsed = max(self._prev_duration, 1e-9)
-        return window
+    def _last_two_windows(self) -> tuple[dict[int, int], dict[int, int], float]:
+        """Combined counts, sizes and duration of the two most recent
+        closed windows (the runtime estimator's span)."""
+        counts: dict[int, int] = {}
+        sizes: dict[int, int] = {}
+        duration = 0.0
+        for window in self.windows[-2:]:
+            for obj_id, count in window.counts.items():
+                counts[obj_id] = counts.get(obj_id, 0) + count
+            sizes.update(window.sizes)
+            duration += window.duration
+        return counts, sizes, max(duration, 1e-9)
 
-    def _refit_models(
-        self,
-        combined: dict[int, int],
-        sizes: dict[int, int],
-        duration: float,
-        close_time: float,
-    ) -> None:
+    def _refit_models(self, close_time: float) -> None:
         """Fit per-content hazard models from the windowed IRT samples and
-        recompute the admission threshold/top set in model terms."""
+        fix the hazards the next ranking sorts: the fitted model's hazard
+        at the close, or the Poisson rate where fewer than three gaps were
+        seen."""
+        counts, sizes, duration = self._last_two_windows()
         models = {}
-        hazards: dict[int, float] = {}
-        for obj_id, count in combined.items():
+        hazards = []
+        for obj_id, count in counts.items():
             gaps = self._irts.get(obj_id)
             if gaps and len(gaps) >= 3:
-                models[obj_id] = fit_hazard_model(self.hazard_model, list(gaps))
+                model = models[obj_id] = fit_hazard_model(self.hazard_model, list(gaps))
                 age = max(close_time - self._last_time.get(obj_id, close_time), 0.0)
-                hazards[obj_id] = models[obj_id].hazard(age) / sizes[obj_id]
+                hazards.append(model.hazard(age) / sizes[obj_id])
             else:
-                hazards[obj_id] = count / (duration * sizes[obj_id])
+                hazards.append(count / (duration * sizes[obj_id]))
         self._models = models
-        # Re-rank under the fitted models so runtime comparisons use a
-        # threshold in the same units.
-        ids = list(hazards)
-        if ids:
-            import numpy as _np
-
-            hazard_arr = _np.asarray([hazards[i] for i in ids])
-            size_arr = _np.asarray([sizes[i] for i in ids], dtype=float)
-            order = _np.argsort(hazard_arr, kind="stable")[::-1]
-            cumulative = _np.cumsum(size_arr[order])
-            inside = cumulative < self.capacity
-            if inside.all():
-                self._hazard_threshold = 0.0
-            else:
-                marginal = int(_np.argmin(inside))
-                self._hazard_threshold = float(hazard_arr[order[marginal]])
-            self._top_set = frozenset(
-                hazard_top_set(ids, hazard_arr, size_arr, self.capacity)
-            )
-            if self.track_decisions:
-                self._ranks = hazard_ranks(ids, hazard_arr)
+        ids = list(counts)
+        self._model_hazards = (
+            ids,
+            np.asarray(hazards),
+            np.asarray([sizes[i] for i in ids], dtype=float),
+        )
         # Bound the IRT store to contents seen in the last two windows.
-        stale = [oid for oid in self._irts if oid not in combined]
+        stale = [oid for oid in self._irts if oid not in counts]
         for oid in stale:
             self._irts.pop(oid, None)
             self._last_time.pop(oid, None)
 
+    def _ranking(self) -> tuple[float, int, dict[int, int]]:
+        """The ranking in force, ``(threshold, fill, ranks)``.
+
+        It ranks the contents of the two most recent closed windows by
+        size-normalized hazard (Poisson rates, or the refit models'
+        hazards at the close) in one :func:`hazard_knapsack` call, on the
+        first ask after each close.  ``ranks`` maps each content to its
+        place (0 = hottest), the top set is the first ``fill`` places,
+        and ``threshold`` is the marginal hazard.
+        """
+        ranking = self._ranked
+        if ranking is None:
+            if self.hazard_model == "poisson":
+                ids, hazards, sizes = _poisson_hazards(*self._last_two_windows())
+            else:
+                ids, hazards, sizes = self._model_hazards
+            order, fill, threshold = hazard_knapsack(hazards, sizes, self.capacity)
+            ranked = [ids[i] for i in order.tolist()]
+            ranking = (threshold, fill, dict(zip(ranked, range(len(ranked)))))
+            self._ranked = ranking
+        return ranking
+
     def hazard_rank(self, obj_id: int) -> int | None:
-        """The content's position in the current hazard ranking (0 =
-        hottest), or ``None`` before the first window closes or when
-        ``track_decisions`` is off or the content is unranked."""
-        return self._ranks.get(obj_id)
+        """The content's place in the ranking in force (0 = hottest), or
+        ``None`` before the first window closes or when the content was
+        not requested in the last two closed windows."""
+        return self._ranking()[2].get(obj_id)
 
     @property
     def hazard_threshold(self) -> float:
-        """The current marginal size-normalized hazard (0 before the
-        first window closes)."""
-        return self._hazard_threshold
+        """The marginal size-normalized hazard of the ranking in force
+        (0 before the first window closes)."""
+        return self._ranking()[0]
 
     @property
     def hit_ratio(self) -> float:
@@ -362,6 +366,24 @@ class HroBound:
         )
 
 
+def _poisson_hazards(
+    counts: dict[int, int],
+    sizes: dict[int, int],
+    duration: float,
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Content ids, size-normalized Poisson hazards
+    ``count / duration / size`` and sizes, as :func:`hazard_knapsack`
+    takes them."""
+    ids = list(counts)
+    size_arr = np.asarray([sizes[i] for i in ids], dtype=np.float64)
+    hazard_arr = (
+        np.asarray([counts[i] for i in ids], dtype=np.float64)
+        / max(duration, 1e-9)
+        / size_arr
+    )
+    return ids, hazard_arr, size_arr
+
+
 def compute_top_set(
     counts: dict[int, int],
     sizes: dict[int, int],
@@ -369,61 +391,7 @@ def compute_top_set(
     capacity: int,
 ) -> frozenset[int]:
     """The HRO cache set for given window statistics."""
-    if not counts:
-        return frozenset()
-    ids = list(counts)
-    size_arr = np.asarray([sizes[i] for i in ids], dtype=np.float64)
-    hazard_arr = (
-        np.asarray([counts[i] for i in ids], dtype=np.float64)
-        / max(duration, 1e-9)
-        / size_arr
-    )
-    return frozenset(hazard_top_set(ids, hazard_arr, size_arr, capacity))
-
-
-def compute_hazard_ranks(
-    counts: dict[int, int],
-    sizes: dict[int, int],
-    duration: float,
-) -> dict[int, int]:
-    """Dense hazard ranking for given window statistics (0 = hottest)."""
-    if not counts:
-        return {}
-    ids = list(counts)
-    size_arr = np.asarray([sizes[i] for i in ids], dtype=np.float64)
-    hazard_arr = (
-        np.asarray([counts[i] for i in ids], dtype=np.float64)
-        / max(duration, 1e-9)
-        / size_arr
-    )
-    return hazard_ranks(ids, hazard_arr)
-
-
-def marginal_hazard(
-    counts: dict[int, int],
-    sizes: dict[int, int],
-    duration: float,
-    capacity: int,
-) -> float:
-    """The size-normalized hazard of the marginal content in the
-    fractional-knapsack prefix — contents at or above this threshold form
-    the HRO cache set."""
-    if not counts:
-        return 0.0
-    ids = list(counts)
-    size_arr = np.asarray([sizes[i] for i in ids], dtype=np.float64)
-    hazard_arr = (
-        np.asarray([counts[i] for i in ids], dtype=np.float64)
-        / max(duration, 1e-9)
-        / size_arr
-    )
-    order = np.argsort(hazard_arr, kind="stable")[::-1]
-    cumulative = np.cumsum(size_arr[order])
-    inside = cumulative < capacity
-    if inside.all():
-        return 0.0  # everything fits: any re-request is a potential hit
-    marginal_index = int(np.argmin(inside))  # first content that overflows
-    return float(hazard_arr[order[marginal_index]])
+    return hazard_top_set(*_poisson_hazards(counts, sizes, duration), capacity)
 
 
 def window_labels(window: HroWindow, requests: Sequence[Request]) -> np.ndarray:

@@ -120,6 +120,11 @@ class LhrCache(CachePolicy):
         }
 
         self.features = FeatureStore(max_irts=max(num_irts, 32))
+        #: HRO's window accountant: LHR feeds it through ``process_scalar``
+        #: only, so it labels windows (each closed window's top set) and
+        #: never classifies — its hit counters stay 0.  The bound itself is
+        #: :func:`~repro.core.hro.hro_bound`.  ``hazard_rank`` ranks on
+        #: demand for decision traces.
         self.hro = HroBound(
             capacity, window_multiple, min_window_requests=min_window_requests
         )
@@ -167,12 +172,6 @@ class LhrCache(CachePolicy):
         self.detector.obs = obs
         self.estimator.obs = obs
         self.hro.obs = obs
-
-    def attach_tracer(self, tracer) -> None:
-        """Decision traces for LHR also track the HRO hazard ranking so
-        each record carries the request's window hazard rank."""
-        super().attach_tracer(tracer)
-        self.hro.track_decisions = tracer is not None
 
     def decision_inputs(self, req: Request):
         return (

@@ -56,7 +56,9 @@ def trace_hro(
     the first window closes) — for hits and misses alike, so
     :func:`decision_verdict` works on both sides of the join.
     ``threshold`` is the marginal size-normalized hazard and
-    ``hazard_rank`` the content's position in the current ranking.
+    ``hazard_rank`` the content's position in the ranking that decided
+    the request — for a window-closing request, the ranking in force
+    before the close.
     HRO has no explicit evictions; a previously-cacheable content that
     drops out of the top set shows up as an *unattributed*
     ``evicted_early`` miss in the taxonomy.
@@ -67,17 +69,20 @@ def trace_hro(
         min_window_requests=min_window_requests,
         hazard_model=hazard_model,
     )
-    bound.track_decisions = True
     if tracer is None:
         tracer = DecisionTracer()
     for req in trace:
+        # Read the ranking before ``process``: a request that closes a
+        # window was classified under the ranking in force, not the next.
+        threshold = bound.hazard_threshold
+        hazard_rank = bound.hazard_rank(req.obj_id)
         hit = bound.process(req)
         tracer.observe(
             req,
             hit=hit,
             admitted=bound.last_would_cache,
-            threshold=bound.hazard_threshold,
-            hazard_rank=bound.hazard_rank(req.obj_id),
+            threshold=threshold,
+            hazard_rank=hazard_rank,
         )
     return tracer, bound
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.hro import hro_bound
 from repro.core.lhr import DLhrCache, LhrCache, NLhrCache
 from repro.policies import make_policy
 from repro.traces.request import Request
@@ -155,8 +156,11 @@ class TestEndToEnd:
         lru.process(production_trace)
         assert trained_lhr.object_hit_ratio > lru.object_hit_ratio
 
-    def test_below_hro_bound(self, trained_lhr):
-        assert trained_lhr.object_hit_ratio <= trained_lhr.hro.hit_ratio + 0.05
+    def test_below_hro_bound(self, trained_lhr, production_trace, production_capacity):
+        # LHR's HRO only accounts windows; the bound is HRO run over the
+        # same trace with LHR's window settings.
+        bound = hro_bound(production_trace, production_capacity, 4.0, 512)
+        assert trained_lhr.object_hit_ratio <= bound.hit_ratio + 0.05
 
     def test_metadata_accounting(self, trained_lhr, production_capacity):
         metadata = trained_lhr.metadata_bytes()
@@ -250,3 +254,90 @@ class TestDeeperBehaviour:
         cache.process(production_trace)
         assert labels_seen
         assert any(0.02 < fraction < 0.98 for fraction in labels_seen)
+
+
+class TestHroAccountantOnly:
+    """LHR runs only HRO's window accountant: it never classifies a
+    request, and it ranks the last two windows only when a decision trace
+    asks for hazard ranks — at most once per closed window."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        from repro.bounds import hazard
+        from repro.core import hro
+        from repro.core.hro import HroBound
+
+        calls = {"process": 0, "knapsack": []}
+        process = HroBound.process
+        knapsack = hazard.hazard_knapsack
+
+        def spy_process(self, request):
+            calls["process"] += 1
+            return process(self, request)
+
+        def spy_knapsack(hazards, sizes, capacity):
+            calls["knapsack"].append(len(hazards))
+            return knapsack(hazards, sizes, capacity)
+
+        monkeypatch.setattr(HroBound, "process", spy_process)
+        monkeypatch.setattr(hazard, "hazard_knapsack", spy_knapsack)
+        monkeypatch.setattr(hro, "hazard_knapsack", spy_knapsack)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return irm_trace(3000, 150, mean_size=1 << 12, seed=5)
+
+    @staticmethod
+    def _counters(policy):
+        return (
+            policy.hits,
+            policy.misses,
+            policy.admissions,
+            policy.evictions,
+            policy.hit_bytes,
+            policy.windows_processed,
+            policy.trainings,
+            policy.delta,
+        )
+
+    @pytest.mark.parametrize("name", ["lhr", "d-lhr", "n-lhr"])
+    def test_untraced_replay_never_classifies_or_ranks(self, name, trace, spies):
+        from repro.sim import build_policy, simulate
+
+        policy = build_policy(name, int(0.1 * trace.unique_bytes()))
+        simulate(policy, trace)
+        windows = policy.hro.windows
+        assert len(windows) >= 2
+        assert spies["process"] == 0
+        assert policy.hro.requests == 0
+        # One knapsack per close, over that window's own contents: the top
+        # set LHR labels with.  No two-window ranking.
+        assert spies["knapsack"] == [len(window.counts) for window in windows]
+
+    @pytest.mark.parametrize("name", ["lhr", "d-lhr", "n-lhr"])
+    def test_traced_replay_ranks_at_most_once_per_close(self, name, trace, spies):
+        from repro.obs import DecisionTracer
+        from repro.sim import build_policy, simulate
+
+        capacity = int(0.1 * trace.unique_bytes())
+        untraced = build_policy(name, capacity)
+        simulate(untraced, trace)
+        labels_only = len(spies["knapsack"])
+        del spies["knapsack"][:]
+        traced = build_policy(name, capacity)
+        tracer = DecisionTracer()
+        simulate(traced, trace, tracer=tracer)
+        windows = traced.hro.windows
+        assert spies["process"] == 0
+        assert labels_only == len(windows) >= 2
+        assert len(windows) < len(spies["knapsack"]) <= 2 * len(windows)
+        # Records are read after the request, so the request that closes
+        # the first window is the first to carry a rank.
+        records = tracer.records
+        first_close = windows[0].num_requests - 1
+        assert all(r.hazard_rank is None for r in records[:first_close])
+        assert records[first_close].hazard_rank is not None
+        ranked = sum(r.hazard_rank is not None for r in records[first_close:])
+        assert ranked > len(records[first_close:]) // 2
+        assert self._counters(traced) == self._counters(untraced)

@@ -48,6 +48,28 @@ class TestTraceHro:
         # Once the first window closes a marginal hazard exists.
         assert any(r.threshold is not None for r in tracer.records)
 
+    def test_closing_request_carries_the_ranking_that_decided_it(self, hro_traced):
+        """The ranking changes only at a close, so every request of a
+        window — the one that closes it included — was classified under
+        one threshold and one rank per content."""
+        tracer, bound = hro_traced
+        records = tracer.records
+        assert len(bound.windows) >= 3
+        assert sum(w.num_requests for w in bound.windows) < len(records)
+        start = 0
+        moved = 0
+        for window in bound.windows:
+            end = start + window.num_requests
+            span = records[start:end]
+            assert {r.threshold for r in span} == {span[0].threshold}
+            ranks = {}
+            for record in span:
+                ranks.setdefault(record.obj_id, set()).add(record.hazard_rank)
+            assert all(len(seen) == 1 for seen in ranks.values())
+            moved += records[end].threshold != span[-1].threshold
+            start = end
+        assert moved == len(bound.windows)
+
 
 class TestDivergenceReport:
     @pytest.fixture(scope="class")
