@@ -44,6 +44,10 @@ from repro.util.indexed_set import IndexedSet
 #: smallest-p rule it improves upon (Section 5.2.5).
 EVICTION_RULES = ("lhr", "p-only", "p-recency")
 
+#: Initial length of the cached-content slot columns; they double when
+#: full.
+_INITIAL_SLOTS = 64
+
 
 class LhrCache(CachePolicy):
     """The LHR cache (Algorithm 1).
@@ -104,6 +108,10 @@ class LhrCache(CachePolicy):
         super().__init__(capacity)
         if eviction_rule not in EVICTION_RULES:
             raise ValueError(f"eviction_rule must be one of {EVICTION_RULES}")
+        if num_irts < 1:
+            raise ValueError("num_irts must be >= 1")
+        if num_candidates < 1:
+            raise ValueError("num_candidates must be >= 1")
         self._backend = BatchedBackend()
         self.num_irts = num_irts
         self.auto_threshold = auto_threshold
@@ -139,11 +147,19 @@ class LhrCache(CachePolicy):
         )
         self._model: GradientBoostingRegressor | None = None
 
-        # Cache-side learned state: L (admission probabilities of cached
-        # contents) and the eviction-candidate set (Section 4.1).
-        self._probabilities: dict[int, float] = {}
+        # Cache-side learned state (Section 4.1): the eviction-candidate
+        # set, and one slot per cached content in float64 columns of its
+        # stored probability (the vector L), size and last access.  A
+        # swap-remove keeps the slots dense.  Sizes below 2**53 are exact
+        # in float64.  A slot whose feature record ``FeatureStore.prune``
+        # dropped holds a NaN last access until its next hit recreates the
+        # record.
         self._eviction_candidates: IndexedSet = IndexedSet()
-        self._cached_ids = IndexedSet()
+        self._slot: dict[int, int] = {}
+        self._slot_ids: list[int] = []
+        self._p = np.empty(_INITIAL_SLOTS)
+        self._size = np.empty(_INITIAL_SLOTS)
+        self._last = np.empty(_INITIAL_SLOTS)
 
         # Per-window buffers for training and threshold estimation.
         # Content ids (not Request objects) are enough for labelling, so
@@ -195,7 +211,8 @@ class LhrCache(CachePolicy):
 
     def admission_probability(self, obj_id: int) -> float | None:
         """The stored probability of a cached content (the vector L)."""
-        return self._probabilities.get(obj_id)
+        slot = self._slot.get(obj_id)
+        return None if slot is None else float(self._p[slot])
 
     # ------------------------------------------------------------------
     # Request path (the four cases of Section 4.1)
@@ -228,7 +245,9 @@ class LhrCache(CachePolicy):
 
     def _on_hit(self, req: Request) -> None:
         p = self._current_p
-        self._probabilities[req.obj_id] = p
+        slot = self._slot[req.obj_id]
+        self._p[slot] = p
+        self._last[slot] = req.time
         if p < self.delta:
             # Case (ii): refresh L and mark as an eviction candidate.
             self._eviction_candidates.add(req.obj_id)
@@ -241,59 +260,84 @@ class LhrCache(CachePolicy):
         return self._current_p >= self.delta
 
     def _on_admit(self, req: Request) -> None:
-        self._probabilities[req.obj_id] = self._current_p
-        self._cached_ids.add(req.obj_id)
+        slot = len(self._slot_ids)
+        if slot == len(self._p):
+            self._p, self._size, self._last = (
+                np.concatenate([column, np.empty_like(column)])
+                for column in (self._p, self._size, self._last)
+            )
+        self._slot[req.obj_id] = slot
+        self._slot_ids.append(req.obj_id)
+        self._p[slot] = self._current_p
+        self._size[slot] = req.size
+        self._last[slot] = req.time
 
     def _on_evict(self, obj_id: int) -> None:
-        self._probabilities.pop(obj_id, None)
         self._eviction_candidates.discard(obj_id)
-        self._cached_ids.discard(obj_id)
+        slot = self._slot.pop(obj_id)
+        ids = self._slot_ids
+        moved = ids.pop()
+        if moved != obj_id:
+            # Swap-remove: the last slot's content and columns fill the hole.
+            last = len(ids)
+            ids[slot] = moved
+            self._slot[moved] = slot
+            self._p[slot] = self._p[last]
+            self._size[slot] = self._size[last]
+            self._last[slot] = self._last[last]
 
     # ------------------------------------------------------------------
     # Eviction (Section 5.2.5)
     # ------------------------------------------------------------------
 
-    def _eviction_value(self, obj_id: int, now: float) -> float:
-        p = self._probabilities.get(obj_id, 0.0)
-        if self.eviction_rule == "p-only":
-            return p
-        last = self.features.last_access(obj_id)
-        irt1 = max(now - last, 1e-9) if last is not None else 1e9
-        if self.eviction_rule == "p-recency":
-            # Ablation: keep size out of eviction; the learned p already
-            # internalizes HRO's size normalization.
-            return p / irt1
-        return p / (self._sizes[obj_id] * irt1)
-
     def _select_victim(self, incoming: Request) -> int:
-        now = incoming.time
+        """The sampled cached content with the smallest eviction value.
+
+        Samples ``num_candidates`` contents from the eviction-candidate
+        set when any are marked, else from every cached slot (all of
+        them, in slot order, when the cache holds no more).  The sampled
+        slots' columns are gathered and scored in one vector expression:
+        ``q = p / (s * IRT_1)`` (``"lhr"``), ``p / IRT_1`` (``"p-recency"``,
+        leaving size to the learned p) or ``p`` (``"p-only"``), where
+        ``IRT_1`` is the time since the last access, floored at 1e-9, and
+        1e9 when the content's feature record was pruned.  ``argmin``
+        evicts the first smallest ``q``.
+
+        A NaN ``q`` (a hit stored a NaN score in L) never wins under
+        ``"lhr"``, and a sample that is all NaN raises ``RuntimeError``.
+        The two ablation rules evict a NaN first sample, as ``min()``
+        over the sample did.
+        """
+        count = self._num_candidates
+        ids = self._slot_ids
         if len(self._eviction_candidates):
-            pool = self._eviction_candidates.sample(self._num_candidates, self._rng)
+            slot = self._slot
+            pool = self._eviction_candidates.sample(count, self._rng)
+            idx = np.array([slot[oid] for oid in pool])
+        elif len(ids) > count:
+            idx = self._rng.choice(len(ids), size=count, replace=False)
         else:
-            pool = self._cached_ids.sample(self._num_candidates, self._rng)
-        if self.eviction_rule != "lhr":
-            return min(pool, key=lambda oid: self._eviction_value(oid, now))
-        # Default rule, inlined: q = p / (s * IRT_1) with the same
-        # first-minimum tie-break as min().  Eviction sampling dominates
-        # LHR's steady-state cost, so the per-candidate lambda and method
-        # dispatch of the generic path are worth shedding.
-        probabilities = self._probabilities
-        records = self.features._records
-        sizes = self._sizes
-        best = -1
-        best_value = np.inf
-        for oid in pool:
-            record = records.get(oid)
-            if record is None:
-                irt1 = 1e9
+            idx = slice(len(ids))
+        q = self._p[idx]
+        if self.eviction_rule != "p-only":
+            irt1 = np.maximum(incoming.time - self._last[idx], 1e-9)
+            irt1[np.isnan(irt1)] = 1e9
+            if self.eviction_rule == "lhr":
+                irt1 *= self._size[idx]
+            q = q / irt1
+        best = int(q.argmin())
+        if q[best] != q[best]:
+            # argmin stops at the first NaN; skip them as described above.
+            nan = np.isnan(q)
+            if self.eviction_rule != "lhr" and nan[0]:
+                best = 0
+            elif nan.all():
+                raise RuntimeError(
+                    f"{self.name}: every sampled eviction candidate scores NaN"
+                )
             else:
-                gap = now - record.last_time
-                irt1 = gap if gap > 1e-9 else 1e-9
-            value = probabilities.get(oid, 0.0) / (sizes[oid] * irt1)
-            if value < best_value:
-                best_value = value
-                best = oid
-        return best
+                best = int(np.where(nan, np.inf, q).argmin())
+        return ids[best] if type(idx) is slice else ids[int(idx[best])]
 
     # ------------------------------------------------------------------
     # Columnar fast path (batched inference kernel)
@@ -383,7 +427,12 @@ class LhrCache(CachePolicy):
         # Keep feature history bounded to a few windows of idle time.
         if self._window_ids:
             now = self._last_access_time
-            self.features.prune(now, horizon=max(window.duration * 4.0, 1e-6))
+            features = self.features
+            if features.prune(now, horizon=max(window.duration * 4.0, 1e-6)):
+                # Cached contents whose record was pruned lose their last
+                # access; the pick scores them with IRT_1 = 1e9.
+                stale = [oid not in features for oid in self._slot_ids]
+                self._last[: len(stale)][stale] = np.nan
         self._window_rows.clear()
         self._window_ids.clear()
         self._window_samples.clear()
@@ -489,7 +538,7 @@ class LhrCache(CachePolicy):
 
     def metadata_bytes(self) -> int:
         total = self.features.metadata_bytes()
-        total += 16 * len(self._probabilities)
+        total += 16 * len(self._slot_ids)
         total += 8 * feature_dim(self.num_irts) * len(self._window_rows)
         total += 40 * len(self._window_samples)
         if self._model is not None:

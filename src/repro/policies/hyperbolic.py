@@ -30,6 +30,8 @@ class HyperbolicCache(CachePolicy):
         seed: int = 0,
     ):
         super().__init__(capacity)
+        if num_candidates < 1:
+            raise ValueError("num_candidates must be >= 1")
         self._num_candidates = num_candidates
         self._size_aware = size_aware
         self._rng = np.random.default_rng(seed)

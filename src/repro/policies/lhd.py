@@ -61,6 +61,8 @@ class LhdCache(CachePolicy):
 
     def __init__(self, capacity: int, num_candidates: int = 64, seed: int = 0):
         super().__init__(capacity)
+        if num_candidates < 1:
+            raise ValueError("num_candidates must be >= 1")
         self._num_candidates = num_candidates
         self._rng = np.random.default_rng(seed)
         self._cached = IndexedSet()

@@ -67,6 +67,8 @@ class LrbCache(CachePolicy):
         gbm_params: dict | None = None,
     ):
         super().__init__(capacity)
+        if num_candidates < 1:
+            raise ValueError("num_candidates must be >= 1")
         #: Bélády boundary in seconds; ``None`` = auto (set from trace pace).
         self.memory_window = memory_window
         self._num_candidates = num_candidates

@@ -1,8 +1,11 @@
 """A set of integer keys supporting O(1) add/remove/uniform-sample.
 
-Sampling-based eviction (LRB's 64-candidate sampling, LHR's eviction rule)
-needs "pick k random cached objects" in O(k); a dict alone cannot do that,
-so we pair a dense list with a key -> slot index.
+Sampling-based eviction (LRB's, LHD's and hyperbolic caching's
+64-candidate sampling) needs "pick k random cached objects" in O(k); a
+dict alone cannot do that, so we pair a dense list with a key -> slot
+index.  LHR samples only its eviction-candidate set through it: its
+cached contents live in slot columns of its own, sampled with the same
+``rng.choice`` call.
 """
 
 from __future__ import annotations

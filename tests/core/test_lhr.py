@@ -1,16 +1,43 @@
 """LHR: Algorithm 1 end to end, the four request cases, and ablations."""
 
+import math
+import zlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hro import hro_bound
-from repro.core.lhr import DLhrCache, LhrCache, NLhrCache
+from repro.core.lhr import EVICTION_RULES, DLhrCache, LhrCache, NLhrCache
+from repro.core.model_backends import BatchedBackend, ModelBackend
 from repro.policies import make_policy
 from repro.traces.request import Request
 from repro.traces.synthetic import irm_trace
+from repro.util.indexed_set import IndexedSet
 
 
 def req(obj_id, time, size=10):
     return Request(time=time, obj_id=obj_id, size=size)
+
+
+class _SequenceBackend(ModelBackend):
+    """Serves the given scores in order, one per scored request."""
+
+    def __init__(self, scores):
+        self._scores = iter(scores)
+
+    def score_one(self, model, row):
+        return next(self._scores)
+
+
+def scripted(cache, scores):
+    """``cache`` with a stand-in model whose outputs are ``scores``, in
+    request order.  Only for replays too short to close a window, whose
+    refit would replace the stand-in."""
+    cache._model = "scripted"
+    cache._backend = _SequenceBackend(scores)
+    return cache
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +62,11 @@ class TestConstruction:
         assert DLhrCache(100).name == "d-lhr"
         assert NLhrCache(100).name == "n-lhr"
         assert LhrCache(100).name == "lhr"
+
+    @pytest.mark.parametrize("num_irts", [0, -1])
+    def test_rejects_num_irts_below_one(self, num_irts):
+        with pytest.raises(ValueError, match="num_irts"):
+            LhrCache(100, num_irts=num_irts)
 
 
 class TestBootstrap:
@@ -121,27 +153,31 @@ class TestRequestCases:
 
 class TestEviction:
     def test_eviction_values_prefer_recent_popular(self):
-        cache = LhrCache(1000, seed=4)
-        cache._probabilities = {1: 0.9, 2: 0.1}
-        cache._sizes = {1: 10, 2: 10}
-        cache.features.observe(req(1, time=0.0))
-        cache.features.observe(req(2, time=0.0))
-        q1 = cache._eviction_value(1, now=5.0)
-        q2 = cache._eviction_value(2, now=5.0)
-        assert q1 > q2  # higher p -> keep
+        # Same size and last access: the higher p is kept.
+        cache = scripted(LhrCache(20, seed=4), [0.9, 0.1])
+        cache.estimator.delta = 0.0  # admit both
+        cache.request(req(1, time=0.0))
+        cache.request(req(2, time=0.0))
+        assert cache.admission_probability(1) == 0.9
+        assert cache._select_victim(req(3, time=5.0)) == 2
 
     def test_size_matters_under_lhr_rule(self):
-        cache = LhrCache(1000, eviction_rule="lhr", seed=5)
-        cache._probabilities = {1: 0.5, 2: 0.5}
-        cache._sizes = {1: 10, 2: 1000}
-        cache.features.observe(req(1, time=0.0, size=10))
-        cache.features.observe(req(2, time=0.0, size=1000))
-        assert cache._eviction_value(1, now=5.0) > cache._eviction_value(2, now=5.0)
+        # Same p and last access: the larger content goes.
+        cache = scripted(LhrCache(1010, eviction_rule="lhr", seed=5), [0.5, 0.5])
+        cache.request(req(1, time=0.0, size=10))
+        cache.request(req(2, time=0.0, size=1000))
+        assert cache._select_victim(req(3, time=5.0)) == 2
 
     def test_p_only_rule_ignores_size_and_recency(self):
-        cache = LhrCache(1000, eviction_rule="p-only", seed=6)
-        cache._probabilities = {1: 0.5}
-        assert cache._eviction_value(1, now=123.0) == 0.5
+        # Content 2 is 100x larger and idle 123 s against 23 s, so the
+        # paper's rule evicts it; smallest-p evicts 1 (p 0.5 < 0.6).
+        victims = {}
+        for rule in ("p-only", "lhr"):
+            cache = scripted(LhrCache(1010, eviction_rule=rule, seed=6), [0.6, 0.5])
+            cache.request(req(2, time=0.0, size=1000))
+            cache.request(req(1, time=100.0, size=10))
+            victims[rule] = cache._select_victim(req(3, time=123.0))
+        assert victims == {"p-only": 1, "lhr": 2}
 
     def test_capacity_respected_throughout(self, production_trace, production_capacity):
         cache = LhrCache(production_capacity, seed=7)
@@ -341,3 +377,235 @@ class TestHroAccountantOnly:
         ranked = sum(r.hazard_rank is not None for r in records[first_close:])
         assert ranked > len(records[first_close:]) // 2
         assert self._counters(traced) == self._counters(untraced)
+
+
+class ReferenceLhrCache(LhrCache):
+    """LHR with the victim pick the columnar one replaced, kept verbatim
+    as the differential oracle: L in a dict, the cached ids in an
+    ``IndexedSet`` sampled through ``IndexedSet.sample``, ``min()`` over
+    ``_eviction_value`` for the two ablation rules and a per-candidate
+    loop for the paper's rule.  Its slot columns stay empty."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._probabilities: dict[int, float] = {}
+        self._cached_ids = IndexedSet()
+
+    def admission_probability(self, obj_id):
+        return self._probabilities.get(obj_id)
+
+    def metadata_bytes(self):
+        return super().metadata_bytes() + 16 * len(self._probabilities)
+
+    def _on_hit(self, req):
+        p = self._current_p
+        self._probabilities[req.obj_id] = p
+        if p < self.delta:
+            self._eviction_candidates.add(req.obj_id)
+        else:
+            self._eviction_candidates.discard(req.obj_id)
+
+    def _on_admit(self, req):
+        self._probabilities[req.obj_id] = self._current_p
+        self._cached_ids.add(req.obj_id)
+
+    def _on_evict(self, obj_id):
+        self._probabilities.pop(obj_id, None)
+        self._eviction_candidates.discard(obj_id)
+        self._cached_ids.discard(obj_id)
+
+    def _eviction_value(self, obj_id, now):
+        p = self._probabilities.get(obj_id, 0.0)
+        if self.eviction_rule == "p-only":
+            return p
+        last = self.features.last_access(obj_id)
+        irt1 = max(now - last, 1e-9) if last is not None else 1e9
+        if self.eviction_rule == "p-recency":
+            return p / irt1
+        return p / (self._sizes[obj_id] * irt1)
+
+    def _select_victim(self, incoming):
+        now = incoming.time
+        if len(self._eviction_candidates):
+            pool = self._eviction_candidates.sample(self._num_candidates, self._rng)
+        else:
+            pool = self._cached_ids.sample(self._num_candidates, self._rng)
+        if self.eviction_rule != "lhr":
+            return min(pool, key=lambda oid: self._eviction_value(oid, now))
+        probabilities = self._probabilities
+        records = self.features._records
+        sizes = self._sizes
+        best = -1
+        best_value = np.inf
+        for oid in pool:
+            record = records.get(oid)
+            if record is None:
+                irt1 = 1e9
+            else:
+                gap = now - record.last_time
+                irt1 = gap if gap > 1e-9 else 1e-9
+            value = probabilities.get(oid, 0.0) / (sizes[oid] * irt1)
+            if value < best_value:
+                best_value = value
+                best = oid
+        return best
+
+
+class _ChecksumBackend(ModelBackend):
+    """Scores a feature row with an entry of ``scores`` picked by the
+    row's checksum, so both caches of a lockstep replay score alike."""
+
+    def __init__(self, scores):
+        self._scores = scores
+
+    def score_one(self, model, row):
+        return self._scores[zlib.crc32(row.tobytes()) % len(self._scores)]
+
+
+#: A one-stump model: the checksum backend ignores it, so refits only
+#: need to be cheap.
+_STUMP = {"n_estimators": 1, "max_depth": 1, "learning_rate": 0.3, "subsample": 1.0, "seed": 0}
+
+
+@st.composite
+def lhr_replays(draw):
+    """A random trace with LHR settings and a score table.  Few distinct
+    sizes, gaps and scores make q ties, equal timestamps, candidate
+    marks (hits below delta) and NaN scores common.  Rare idle gaps
+    outlast four short windows, so a close prunes the records of cached
+    contents."""
+    capacity = draw(st.integers(4, 300))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    sizes += draw(st.lists(st.integers(1, capacity + 1), max_size=1))
+    scores = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]), min_size=1, max_size=4))
+    scores += [math.nan] * draw(st.sampled_from([0, 0, 1, 3]))
+    idle = draw(st.sampled_from([0.0, 0.02, 0.05]))
+    n = draw(st.one_of(st.integers(1, 100), st.integers(300, 800)))
+    objects = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size_of = rng.choice(sizes, objects).tolist()
+    gaps = rng.choice([0.0, 0.0, 1.0, 2.0], n)
+    gaps[rng.random(n) < idle] = 1000.0
+    trace = [
+        Request(time=time, obj_id=obj_id, size=size_of[obj_id])
+        for time, obj_id in zip(np.cumsum(gaps).tolist(), rng.integers(0, objects, n).tolist())
+    ]
+    settings_ = {
+        "capacity": capacity,
+        "eviction_rule": draw(st.sampled_from(EVICTION_RULES)),
+        "num_candidates": draw(st.sampled_from([1, 4, 64])),
+        "window_multiple": draw(st.sampled_from([0.5, 1.0, 2.0])),
+        "min_window_requests": 0,
+        "auto_threshold": draw(st.booleans()),
+        "gbm_params": _STUMP,
+        "seed": draw(st.integers(0, 3)),
+    }
+    return trace, scores, settings_
+
+
+def _state(cache):
+    cached = cache.cached_objects()
+    return (
+        cache.hits,
+        cache.misses,
+        cache.hit_bytes,
+        cache.miss_bytes,
+        cache.admissions,
+        cache.evictions,
+        cache.used_bytes,
+        cache.windows_processed,
+        cache.trainings,
+        cache.delta,
+        cache.metadata_bytes(),
+        cached,
+        list(cache._eviction_candidates),
+        # repr: NaN equals NaN, and -0.0 differs from 0.0.
+        [repr(cache.admission_probability(obj_id)) for obj_id in cached],
+        cache._rng.bit_generator.state,
+    )
+
+
+def _record_victims(cache):
+    """Shadow ``cache._remove`` so every eviction lands in the returned
+    list, in order."""
+    victims = []
+    remove = cache._remove
+
+    def capture(obj_id):
+        victims.append(obj_id)
+        remove(obj_id)
+
+    cache._remove = capture
+    return victims
+
+
+def replay_in_lockstep(trace, backend_factory, **settings_):
+    """Replay ``trace`` through LhrCache and ReferenceLhrCache side by
+    side.  After every request, assert the same verdict, the same
+    victims in order and the same state.  When one raises, the other
+    must raise at the same request: the same exception, except that an
+    all-NaN sample under the paper's rule names its cause instead of the
+    reference's "victim -1".  Returns the evictions."""
+    caches = [LhrCache(**settings_), ReferenceLhrCache(**settings_)]
+    for cache in caches:
+        cache._backend = backend_factory()
+    victims = [_record_victims(cache) for cache in caches]
+    columnar, reference = caches
+    for request in trace:
+        outcomes = []
+        for cache, evicted in zip(caches, victims):
+            del evicted[:]
+            try:
+                outcomes.append((cache.request(request), list(evicted)))
+            except Exception as exc:  # noqa: BLE001 — compared below
+                outcomes.append(exc)
+        if isinstance(outcomes[1], Exception):
+            if str(outcomes[1]) == "lhr: victim -1 is not cached":
+                assert isinstance(outcomes[0], RuntimeError)
+                assert "NaN" in str(outcomes[0])
+            else:
+                assert repr(outcomes[0]) == repr(outcomes[1])
+            break
+        assert outcomes[0] == outcomes[1]
+        assert _state(columnar) == _state(reference)
+    return columnar.evictions
+
+
+class TestColumnarPickMatchesReference:
+    """The columnar pick evicts exactly the old pick's victims."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(replay=lhr_replays())
+    def test_random_traces(self, replay):
+        trace, scores, settings_ = replay
+        replay_in_lockstep(trace, lambda: _ChecksumBackend(scores), **settings_)
+
+    @pytest.mark.parametrize("rule", EVICTION_RULES)
+    def test_production_standin(self, rule, production_trace, production_capacity):
+        # The real model, scoring each request alone, over 5k requests.
+        evictions = replay_in_lockstep(
+            production_trace, BatchedBackend, capacity=production_capacity, eviction_rule=rule
+        )
+        assert evictions > 1000
+
+    @pytest.mark.parametrize("rule", EVICTION_RULES)
+    def test_all_nan_sample(self, rule):
+        # Two cached contents whose hits stored NaN scores, then an
+        # admission that needs room.  The paper's rule finds no victim and
+        # fails loudly; min() under the ablation rules took the first.
+        trace = [req(1, 0.0), req(2, 0.0), req(1, 1.0), req(2, 1.0), req(3, 2.0)]
+        scores = [1.0, 1.0, math.nan, math.nan, 1.0]
+        caches = [scripted(cls(20, eviction_rule=rule), scores) for cls in (LhrCache, ReferenceLhrCache)]
+        for request in trace[:-1]:
+            for cache in caches:
+                cache.request(request)
+        assert all(math.isnan(cache.admission_probability(1)) for cache in caches)
+        if rule == "lhr":
+            with pytest.raises(RuntimeError, match="NaN"):
+                caches[0].request(trace[-1])
+            with pytest.raises(RuntimeError, match="victim -1 is not cached"):
+                caches[1].request(trace[-1])
+        else:
+            for cache in caches:
+                cache.request(trace[-1])
+                assert set(cache.cached_objects()) == {2, 3}

@@ -84,7 +84,12 @@ class TestLhrInternalsConsistency:
         cache = LhrCache(capacity, seed=0)
         cache.process(trace)
         cached = set(cache.cached_objects())
-        assert set(cache._probabilities) == cached
+        stored = {
+            obj_id
+            for obj_id in trace.unique_contents()
+            if cache.admission_probability(obj_id) is not None
+        }
+        assert stored == cached
 
 
 class TestPrototypePipeline:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.policies.base import CachePolicy, NoCache
 from repro.policies.classic import LruCache
+from repro.sim import build_policy
 from repro.traces.request import Request
 
 
@@ -17,6 +18,15 @@ class TestConstruction:
             LruCache(0)
         with pytest.raises(ValueError):
             LruCache(-5)
+
+
+class TestSamplingArguments:
+    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("name", ["lhr", "lrb", "lhd", "hyperbolic"])
+    def test_rejects_num_candidates_below_one(self, name, count):
+        # Sampling policies fail at construction, not at the first eviction.
+        with pytest.raises(ValueError, match="num_candidates"):
+            build_policy(name, 100, num_candidates=count)
 
 
 class TestAdmissionFlow:
