@@ -44,11 +44,6 @@ from repro.util.indexed_set import IndexedSet
 #: smallest-p rule it improves upon (Section 5.2.5).
 EVICTION_RULES = ("lhr", "p-only", "p-recency")
 
-#: Initial length of the cached-content slot columns; they double when
-#: full.
-_INITIAL_SLOTS = 64
-
-
 class LhrCache(CachePolicy):
     """The LHR cache (Algorithm 1).
 
@@ -148,18 +143,13 @@ class LhrCache(CachePolicy):
         self._model: GradientBoostingRegressor | None = None
 
         # Cache-side learned state (Section 4.1): the eviction-candidate
-        # set, and one slot per cached content in float64 columns of its
-        # stored probability (the vector L), size and last access.  A
-        # swap-remove keeps the slots dense.  Sizes below 2**53 are exact
-        # in float64.  A slot whose feature record ``FeatureStore.prune``
-        # dropped holds a NaN last access until its next hit recreates the
-        # record.
+        # set, and the cached contents, one slot each in columns of the
+        # stored probability (the vector L), size and last access.  Sizes
+        # below 2**53 are exact in float64.  A slot whose feature record
+        # ``FeatureStore.prune`` dropped holds a NaN last access until its
+        # next hit recreates the record.
         self._eviction_candidates: IndexedSet = IndexedSet()
-        self._slot: dict[int, int] = {}
-        self._slot_ids: list[int] = []
-        self._p = np.empty(_INITIAL_SLOTS)
-        self._size = np.empty(_INITIAL_SLOTS)
-        self._last = np.empty(_INITIAL_SLOTS)
+        self._cached = IndexedSet(columns=("p", "size", "last"))
 
         # Per-window buffers for training and threshold estimation.
         # Content ids (not Request objects) are enough for labelling, so
@@ -211,8 +201,8 @@ class LhrCache(CachePolicy):
 
     def admission_probability(self, obj_id: int) -> float | None:
         """The stored probability of a cached content (the vector L)."""
-        slot = self._slot.get(obj_id)
-        return None if slot is None else float(self._p[slot])
+        slot = self._cached.slot(obj_id)
+        return None if slot is None else float(self._cached.columns["p"][slot])
 
     # ------------------------------------------------------------------
     # Request path (the four cases of Section 4.1)
@@ -245,9 +235,11 @@ class LhrCache(CachePolicy):
 
     def _on_hit(self, req: Request) -> None:
         p = self._current_p
-        slot = self._slot[req.obj_id]
-        self._p[slot] = p
-        self._last[slot] = req.time
+        cached = self._cached
+        slot = cached.slot(req.obj_id)
+        columns = cached.columns
+        columns["p"][slot] = p
+        columns["last"][slot] = req.time
         if p < self.delta:
             # Case (ii): refresh L and mark as an eviction candidate.
             self._eviction_candidates.add(req.obj_id)
@@ -260,31 +252,15 @@ class LhrCache(CachePolicy):
         return self._current_p >= self.delta
 
     def _on_admit(self, req: Request) -> None:
-        slot = len(self._slot_ids)
-        if slot == len(self._p):
-            self._p, self._size, self._last = (
-                np.concatenate([column, np.empty_like(column)])
-                for column in (self._p, self._size, self._last)
-            )
-        self._slot[req.obj_id] = slot
-        self._slot_ids.append(req.obj_id)
-        self._p[slot] = self._current_p
-        self._size[slot] = req.size
-        self._last[slot] = req.time
+        slot = self._cached.add(req.obj_id)
+        columns = self._cached.columns
+        columns["p"][slot] = self._current_p
+        columns["size"][slot] = req.size
+        columns["last"][slot] = req.time
 
     def _on_evict(self, obj_id: int) -> None:
         self._eviction_candidates.discard(obj_id)
-        slot = self._slot.pop(obj_id)
-        ids = self._slot_ids
-        moved = ids.pop()
-        if moved != obj_id:
-            # Swap-remove: the last slot's content and columns fill the hole.
-            last = len(ids)
-            ids[slot] = moved
-            self._slot[moved] = slot
-            self._p[slot] = self._p[last]
-            self._size[slot] = self._size[last]
-            self._last[slot] = self._last[last]
+        self._cached.remove(obj_id)
 
     # ------------------------------------------------------------------
     # Eviction (Section 5.2.5)
@@ -309,21 +285,19 @@ class LhrCache(CachePolicy):
         over the sample did.
         """
         count = self._num_candidates
-        ids = self._slot_ids
+        cached = self._cached
         if len(self._eviction_candidates):
-            slot = self._slot
             pool = self._eviction_candidates.sample(count, self._rng)
-            idx = np.array([slot[oid] for oid in pool])
-        elif len(ids) > count:
-            idx = self._rng.choice(len(ids), size=count, replace=False)
+            idx = np.array([cached.slot(oid) for oid in pool])
         else:
-            idx = slice(len(ids))
-        q = self._p[idx]
+            idx = cached.sample_slots(count, self._rng)
+        columns = cached.columns
+        q = columns["p"][idx]
         if self.eviction_rule != "p-only":
-            irt1 = np.maximum(incoming.time - self._last[idx], 1e-9)
+            irt1 = np.maximum(incoming.time - columns["last"][idx], 1e-9)
             irt1[np.isnan(irt1)] = 1e9
             if self.eviction_rule == "lhr":
-                irt1 *= self._size[idx]
+                irt1 *= columns["size"][idx]
             q = q / irt1
         best = int(q.argmin())
         if q[best] != q[best]:
@@ -337,7 +311,7 @@ class LhrCache(CachePolicy):
                 )
             else:
                 best = int(np.where(nan, np.inf, q).argmin())
-        return ids[best] if type(idx) is slice else ids[int(idx[best])]
+        return cached.key(int(idx[best]))
 
     # ------------------------------------------------------------------
     # Columnar fast path (batched inference kernel)
@@ -431,8 +405,8 @@ class LhrCache(CachePolicy):
             if features.prune(now, horizon=max(window.duration * 4.0, 1e-6)):
                 # Cached contents whose record was pruned lose their last
                 # access; the pick scores them with IRT_1 = 1e9.
-                stale = [oid not in features for oid in self._slot_ids]
-                self._last[: len(stale)][stale] = np.nan
+                stale = [oid not in features for oid in self._cached]
+                self._cached.columns["last"][: len(stale)][stale] = np.nan
         self._window_rows.clear()
         self._window_ids.clear()
         self._window_samples.clear()
@@ -538,7 +512,7 @@ class LhrCache(CachePolicy):
 
     def metadata_bytes(self) -> int:
         total = self.features.metadata_bytes()
-        total += 16 * len(self._slot_ids)
+        total += 16 * len(self._cached)
         total += 8 * feature_dim(self.num_irts) * len(self._window_rows)
         total += 40 * len(self._window_samples)
         if self._model is not None:

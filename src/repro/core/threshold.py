@@ -28,6 +28,8 @@ from repro.obs import NULL_OBS
 #: Threshold adjustment step (the paper's 0.1 grid).
 STEP = 0.1
 
+_INF = np.inf
+
 #: Initial length of a shadow replay's slot columns.  When the columns
 #: fill up, evicted slots are compacted away; the columns double only if
 #: more than half of them still hold cached objects.
@@ -73,6 +75,10 @@ def shadow_hit_ratio(
     the k smallest scores, keeps every slot tied with the k-th, and
     stable-sorts just those; k grows x4 until they cover the deficit.
     The Python-level work per overflow is O(victims).
+
+    A NaN or infinite probability raises ``ValueError`` naming the
+    sample's index: no admission rule orders it, and ``p = inf`` marks an
+    evicted slot.
     """
     if not samples:
         return 0.0
@@ -85,16 +91,21 @@ def shadow_hit_ratio(
     used = 0
     hits = 0.0
     total = 0.0
-    for sample in samples:
+    for index, sample in enumerate(samples):
+        probability = sample.probability
+        if not -_INF < probability < _INF:
+            raise ValueError(
+                f"sample {index}: probability must be finite, got {probability}"
+            )
         weight = float(sample.size) if byte_weighted else 1.0
         total += weight
         slot = slot_of.get(sample.obj_id)
         if slot is not None:
             hits += weight
-            p[slot] = sample.probability
+            p[slot] = probability
             last[slot] = sample.time
             continue
-        if sample.probability < delta or sample.size > capacity:
+        if probability < delta or sample.size > capacity:
             continue
         deficit = used + sample.size - capacity
         if deficit > 0:
@@ -120,7 +131,7 @@ def shadow_hit_ratio(
         slot = len(owner)
         owner.append(sample.obj_id)
         slot_of[sample.obj_id] = slot
-        p[slot] = sample.probability
+        p[slot] = probability
         size[slot] = sample.size
         last[slot] = sample.time
         used += sample.size

@@ -16,7 +16,11 @@ a compact form:
   class] )``, discounted by the time it has already idled.
 
 Eviction samples ``num_candidates`` objects and evicts the smallest
-density, as in the original's sampled implementation.
+density, as in the original's sampled implementation.  The pick is
+columnar: each cached object's last access, size and class sit in slot
+columns of an :class:`~repro.util.indexed_set.IndexedSet`, and the
+sampled slots' densities are computed in one vector expression with the
+same float operations as :meth:`LhdCache.hit_density`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ from repro.util.indexed_set import IndexedSet
 from repro.util.stats import EwmaEstimator
 
 _NUM_CLASSES = 8
+
+
+def _count_class(count: int) -> int:
+    """The class of an object referenced ``count`` times: log2 buckets."""
+    return min(count.bit_length() - 1, _NUM_CLASSES - 1)
 
 
 class _ClassStats:
@@ -65,14 +74,19 @@ class LhdCache(CachePolicy):
             raise ValueError("num_candidates must be >= 1")
         self._num_candidates = num_candidates
         self._rng = np.random.default_rng(seed)
-        self._cached = IndexedSet()
+        # The cached objects, one slot each in columns of the last access,
+        # size and reference-count class that ``hit_density`` reads.
+        self._cached = IndexedSet(columns=("last", "size", "class"))
         self._last_access: dict[int, float] = {}
         self._counts: dict[int, int] = {}
         self._classes = [_ClassStats() for _ in range(_NUM_CLASSES)]
+        # Each class's ``hit_probability`` and ``expected_time``, refreshed
+        # whenever its stats learn, for the columnar pick.
+        self._hit_probability = np.array([s.hit_probability for s in self._classes])
+        self._expected_time = np.array([s.expected_time for s in self._classes])
 
     def _class_of(self, obj_id: int) -> int:
-        count = self._counts.get(obj_id, 1)
-        return min(count.bit_length() - 1, _NUM_CLASSES - 1)
+        return _count_class(self._counts.get(obj_id, 1))
 
     def hit_density(self, obj_id: int, now: float) -> float:
         """Estimated hits per byte-second for a cached object."""
@@ -83,24 +97,54 @@ class LhdCache(CachePolicy):
         return stats.hit_probability / (size * expected_wait)
 
     def _on_access(self, req: Request) -> None:
-        previous = self._last_access.get(req.obj_id)
-        if self.contains(req.obj_id) and previous is not None:
-            self._classes[self._class_of(req.obj_id)].record_hit(
-                req.time - previous
-            )
-        self._counts[req.obj_id] = self._counts.get(req.obj_id, 0) + 1
-        self._last_access[req.obj_id] = req.time
+        obj_id = req.obj_id
+        count = self._counts.get(obj_id, 0) + 1
+        slot = self._cached.slot(obj_id)
+        if slot is not None:
+            # A hit: the class of the previous count learns the idle time,
+            # then the slot takes the new access and class.
+            cls = self._class_of(obj_id)
+            stats = self._classes[cls]
+            stats.record_hit(req.time - self._last_access[obj_id])
+            self._hit_probability[cls] = stats.hit_probability
+            self._expected_time[cls] = stats.expected_time
+            columns = self._cached.columns
+            columns["last"][slot] = req.time
+            columns["class"][slot] = _count_class(count)
+        self._counts[obj_id] = count
+        self._last_access[obj_id] = req.time
 
     def _on_admit(self, req: Request) -> None:
-        self._cached.add(req.obj_id)
+        slot = self._cached.add(req.obj_id)
+        columns = self._cached.columns
+        columns["last"][slot] = req.time
+        columns["size"][slot] = req.size
+        columns["class"][slot] = self._class_of(req.obj_id)
 
     def _on_evict(self, obj_id: int) -> None:
-        self._classes[self._class_of(obj_id)].record_eviction()
-        self._cached.discard(obj_id)
+        cls = self._class_of(obj_id)
+        stats = self._classes[cls]
+        stats.record_eviction()
+        self._hit_probability[cls] = stats.hit_probability
+        self._cached.remove(obj_id)
 
     def _select_victim(self, incoming: Request) -> int:
-        candidates = self._cached.sample(self._num_candidates, self._rng)
-        return min(candidates, key=lambda oid: self.hit_density(oid, incoming.time))
+        """The sampled cached object with the lowest hit density.
+
+        ``hit_density`` for every sampled slot at once, from per-class
+        arrays of ``hit_probability`` and ``expected_time``, with the same
+        float operations; ``argmin`` evicts the first lowest density, the
+        sample-order first minimum ``min()`` over ``hit_density`` takes.
+        """
+        cached = self._cached
+        idx = cached.sample_slots(self._num_candidates, self._rng)
+        columns = cached.columns
+        classes = columns["class"][idx].astype(np.intp)
+        expected = self._expected_time[classes]
+        idle = np.maximum(incoming.time - columns["last"][idx], 0.0)
+        expected_wait = np.maximum(expected - idle, expected * 0.1)
+        density = self._hit_probability[classes] / (columns["size"][idx] * expected_wait)
+        return cached.key(int(idx[density.argmin()]))
 
     def metadata_bytes(self) -> int:
         return super().metadata_bytes() + 24 * len(self._last_access)

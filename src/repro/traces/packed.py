@@ -91,15 +91,20 @@ class PackedTrace:
         name: str = "trace",
         metadata: dict | None = None,
     ) -> "PackedTrace":
-        """Build from array-likes, validating what ``Request`` would."""
+        """Build from array-likes, validating what ``Request`` would: a
+        negative, NaN or infinite time, or a non-positive size, raises
+        ``ValueError`` naming the request index."""
         times = np.asarray(times, dtype=np.float64)
         obj_ids = _int64_column(obj_ids, "obj_id")
         sizes = _int64_column(sizes, "size")
         packed = cls(times, obj_ids, sizes, name, dict(metadata or {}))
-        if len(packed) and float(times.min()) < 0:
-            index = int(np.argmin(times))
+        # NaN fails both comparisons.
+        invalid = ~((times >= 0.0) & (times < np.inf))
+        if invalid.any():
+            index = int(invalid.argmax())
             raise ValueError(
-                f"request {index}: time must be non-negative, got {times[index]}"
+                f"request {index}: time must be non-negative and finite, "
+                f"got {times[index]}"
             )
         if len(packed) and int(sizes.min()) <= 0:
             index = int(np.argmin(sizes))

@@ -8,8 +8,11 @@ disk).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+
+_INF = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,8 +40,12 @@ class Request:
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"request size must be positive, got {self.size}")
-        if self.time < 0:
-            raise ValueError(f"request time must be non-negative, got {self.time}")
+        # One chain rejects negative, NaN (every comparison is False) and
+        # infinite times, at the cost of a single ``time < 0``.
+        if not 0.0 <= self.time < _INF:
+            raise ValueError(
+                f"request time must be non-negative and finite, got {self.time}"
+            )
 
 
 @dataclass

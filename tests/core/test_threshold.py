@@ -77,6 +77,37 @@ class TestShadowReplay:
         ratio = shadow_hit_ratio(head + [sample(probe, 0.0)], 30, 0.5)
         assert ratio == (2 if hit else 1) / 6
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("hit", [False, True])
+    def test_non_finite_probability_names_sample(self, bad, hit):
+        # On the admission path and on a hit's refresh of a cached p.
+        samples = [sample(1, 1.0), sample(1 if hit else 2, bad), sample(3, 1.0)]
+        with pytest.raises(ValueError, match="sample 1: probability must be finite"):
+            shadow_hit_ratio(samples, 100, 0.5)
+
+    def test_nan_windows_fail_closed(self):
+        # Random 30-sample windows in which a third of the probabilities
+        # are NaN: each raises ValueError naming its first NaN sample,
+        # rather than a KeyError from inside the slot map.
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            probabilities = rng.choice([0.0, 0.3, 0.7, 1.0], 30)
+            probabilities[rng.random(30) < 1 / 3] = np.nan
+            samples = [
+                sample(int(obj_id), float(p), size=int(size), time=float(t))
+                for obj_id, p, size, t in zip(
+                    rng.integers(0, 10, 30),
+                    probabilities,
+                    rng.choice([1, 5, 20], 30),
+                    np.cumsum(rng.choice([0.0, 1.0], 30)),
+                )
+            ]
+            nan = np.flatnonzero(np.isnan(probabilities))
+            if not len(nan):
+                continue
+            with pytest.raises(ValueError, match=f"sample {nan[0]}: "):
+                shadow_hit_ratio(samples, 30, float(rng.choice([0.0, 0.5])))
+
     def test_multi_victim_ties_leave_in_admission_order(self):
         # A 25-byte object needs three of the four equal-q 10-byte objects
         # gone: 1, 2 and 3 leave, 4 stays.

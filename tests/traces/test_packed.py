@@ -83,6 +83,11 @@ class TestPackedValidation:
         with pytest.raises(ValueError, match="time must be non-negative"):
             PackedTrace.from_arrays([-1.0], [1], [10])
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_from_arrays_rejects_non_finite_time(self, time):
+        with pytest.raises(ValueError, match="request 1: time must be non-negative and finite"):
+            PackedTrace.from_arrays([0.0, time, 1.0], [1, 2, 3], [10, 10, 10])
+
     def test_from_arrays_rejects_nonpositive_size(self):
         with pytest.raises(ValueError, match="size must be positive"):
             PackedTrace.from_arrays([0.0, 1.0], [1, 2], [10, 0])

@@ -18,6 +18,11 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(time=-1.0, obj_id=1, size=1)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_time(self, time):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            Request(time=time, obj_id=1, size=1)
+
     def test_immutability(self):
         req = Request(time=0.0, obj_id=1, size=1)
         with pytest.raises(AttributeError):
