@@ -3,7 +3,8 @@ detection, retrain every window).
 
 Paper findings: (a) auto-tuning matters most on CDN-C; (b) detection
 cuts training time 15-40% with no memory cost; (c) LHR >= N-LHR on hit
-probability with lower training time on most traces.
+probability with lower training time on most traces.  Here (b) is checked
+as a saving in trainings, which is deterministic.
 """
 
 from benchmarks.common import (
@@ -62,7 +63,9 @@ def test_figure10(benchmark):
                 >= max(cell["d-lhr"]["object_hit"], cell["n-lhr"]["object_hit"])
                 - 0.03
             ), (name, cache_gb)
-    # Across all scenarios, detection saves training time in aggregate.
-    d_time = sum(r["training_time_s"] for r in rows if r["variant"] == "d-lhr")
-    n_time = sum(r["training_time_s"] for r in rows if r["variant"] == "n-lhr")
-    assert d_time <= n_time
+    # Across all scenarios, detection saves trainings in aggregate.  The
+    # count is deterministic; one wall-clock read per cell is not, so the
+    # training_time_s column is reported but not asserted on.
+    d_trainings = sum(r["trainings"] for r in rows if r["variant"] == "d-lhr")
+    n_trainings = sum(r["trainings"] for r in rows if r["variant"] == "n-lhr")
+    assert d_trainings < n_trainings

@@ -7,9 +7,11 @@ dependency, so this module implements the same model family natively:
 histogram-based greedy regression trees fit to residuals, with shrinkage,
 subsampling and L2 leaf regularization.
 
-The implementation favours clarity over raw speed but is fully
-vectorized: split search is O(bins x features) per node on pre-binned
-uint8 feature codes.
+Training is vectorized level by level: each fit bins every column once
+into a histogram-key matrix, and each tree level takes one pair of
+``bincount`` histograms, one gain search and one partition over every
+node of the level.  Histograms are only as wide as the widest column's
+bin range actually in use, not ``n_bins``.
 """
 
 from __future__ import annotations
@@ -24,31 +26,94 @@ def _sigmoid(raw: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(raw, -60.0, 60.0)))
 
 
+def _check_finite(name: str, targets: np.ndarray) -> None:
+    """Reject NaN and +-inf targets, naming the first bad row: one poisons
+    every residual (or, in validation, the early-stopping loss)."""
+    bad = np.flatnonzero(~np.isfinite(targets))
+    if bad.size:
+        raise ValueError(
+            f"{name} must be finite; row {bad[0]} is {targets.flat[bad[0]]}"
+        )
+
+
+def _walk(
+    features: np.ndarray,
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    node: np.ndarray,
+    steps: int,
+) -> np.ndarray:
+    """Route each row ``steps`` levels down self-looping node arrays.
+
+    ``node`` holds each row's start node; a 2-D ``node`` walks one row
+    of starts per tree, every column being one row of ``features``.
+    Leaves point back at themselves and gather column 0, so a fixed walk
+    needs no active mask: a row that reaches its leaf early spins in
+    place.  Every step routes ``x[feature] <= threshold`` left, as the
+    scalar walk does (a NaN feature goes right).  Rows are gathered from
+    the raveled block, so a block narrower than the columns the trees
+    split on is rejected up front.
+    """
+    num_columns = features.shape[1]
+    if steps and feature.max() >= num_columns:
+        raise ValueError(
+            f"features have {num_columns} columns; the model splits on "
+            f"column {feature.max()}"
+        )
+    rows = np.arange(features.shape[0]) * num_columns
+    values = features.ravel()
+    for _ in range(steps):
+        go_left = values.take(rows + feature.take(node)) <= threshold.take(node)
+        node = np.where(go_left, left.take(node), right.take(node))
+    return node
+
+
 @dataclass
 class _Tree:
     """Flat array representation of one regression tree.
 
     ``feature[i] < 0`` marks node ``i`` as a leaf with prediction
     ``value[i]``; internal nodes route ``x[feature] <= threshold`` left.
+    ``depth`` is the maximum root-to-leaf edge count (0 for a stump).
+    ``fit`` records it as it grows the tree; a tree built from bare node
+    arrays (a loaded model) measures it once, here.
     """
 
-    feature: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
-    threshold: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
-    left: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
-    right: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
-    value: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    depth: int | None = None
+    _loops: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.depth is None:
+            self.depth = self._measure_depth()
+
+    def self_looping(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(feature, left, right)`` with every leaf made self-looping
+        (cached): its children point back at it and it gathers column 0."""
+        if self._loops is None:
+            leaf = self.feature < 0
+            own = np.arange(self.feature.size)
+            self._loops = (
+                np.where(leaf, 0, self.feature),
+                np.where(leaf, own, self.left),
+                np.where(leaf, own, self.right),
+            )
+        return self._loops
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        node = np.zeros(features.shape[0], dtype=np.int32)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.flatnonzero(active)
-            nodes = node[idx]
-            go_left = (
-                features[idx, self.feature[nodes]] <= self.threshold[nodes]
-            )
-            node[idx] = np.where(go_left, self.left[nodes], self.right[nodes])
-            active = self.feature[node] >= 0
+        feature, left, right = self.self_looping()
+        start = np.zeros(features.shape[0], dtype=np.intp)
+        node = _walk(
+            features, feature, self.threshold, left, right, start, self.depth
+        )
         return self.value[node]
 
     def as_lists(self) -> tuple[list, list, list, list, list]:
@@ -65,8 +130,7 @@ class _Tree:
     def num_nodes(self) -> int:
         return self.feature.size
 
-    def depth(self) -> int:
-        """Maximum root-to-leaf edge count (0 for a stump)."""
+    def _measure_depth(self) -> int:
         if self.feature.size == 0:
             return 0
         best = 0
@@ -93,13 +157,13 @@ class GradientBoostingRegressor:
     learning_rate:
         Shrinkage applied to each tree's contribution.
     max_depth:
-        Maximum tree depth.
+        Maximum tree depth (0 grows stumps).
     min_samples_leaf:
-        Minimum samples on each side of a split.
+        Minimum samples on each side of a split (at least 1).
     n_bins:
         Histogram resolution for split search (max 256).
     l2_regularization:
-        L2 penalty on leaf values (XGBoost's ``lambda``).
+        Non-negative L2 penalty on leaf values (XGBoost's ``lambda``).
     subsample:
         Row subsampling fraction per tree; 1.0 disables.
     seed:
@@ -132,8 +196,14 @@ class GradientBoostingRegressor:
             raise ValueError("n_estimators must be positive")
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
+        if max_depth < 0:
+            raise ValueError("max_depth must be non-negative")
+        if min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be at least 1")
         if not 2 <= n_bins <= 256:
             raise ValueError("n_bins must lie in [2, 256]")
+        if not l2_regularization >= 0.0:
+            raise ValueError("l2_regularization must be non-negative")
         if not 0.0 < subsample <= 1.0:
             raise ValueError("subsample must lie in (0, 1]")
         if loss not in self.LOSSES:
@@ -170,7 +240,9 @@ class GradientBoostingRegressor:
         """Fit the ensemble to ``(features, targets)``; returns self.
 
         ``validation`` is an optional ``(features, targets)`` pair used
-        for early stopping when ``early_stopping_rounds > 0``.
+        for early stopping when ``early_stopping_rounds > 0``.  A NaN or
+        infinite target raises ``ValueError`` naming its row; NaN and
+        infinite features are accepted.
         """
         features = np.ascontiguousarray(features, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
@@ -180,10 +252,11 @@ class GradientBoostingRegressor:
             raise ValueError("features and targets disagree on sample count")
         if features.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
+        _check_finite("targets", targets)
         if self.loss == "logistic" and not np.isin(targets, (0.0, 1.0)).all():
             raise ValueError("logistic loss needs 0/1 targets")
 
-        codes, bin_edges = self._bin_features(features)
+        keys, bin_edges, width = self._bin_features(features)
         if self.loss == "logistic":
             mean = min(max(float(targets.mean()), 1e-6), 1.0 - 1e-6)
             self._base_score = float(np.log(mean / (1.0 - mean)))
@@ -192,24 +265,26 @@ class GradientBoostingRegressor:
         raw = np.full(targets.shape[0], self._base_score)
         self._trees = []
         num_samples = features.shape[0]
+        all_rows = np.arange(num_samples)
 
         use_validation = validation is not None and self.early_stopping_rounds > 0
         if use_validation:
             val_features = np.ascontiguousarray(validation[0], dtype=np.float64)
             val_targets = np.asarray(validation[1], dtype=np.float64)
+            _check_finite("validation targets", val_targets)
             val_raw = np.full(val_targets.shape[0], self._base_score)
             best_loss = np.inf
             best_round = 0
 
         for round_index in range(self.n_estimators):
             residuals = self._negative_gradient(targets, raw)
+            rows = all_rows
             if self.subsample < 1.0:
                 mask = self._rng.random(num_samples) < self.subsample
-                if mask.sum() < max(2 * self.min_samples_leaf, 4):
-                    mask = np.ones(num_samples, dtype=bool)
-            else:
-                mask = np.ones(num_samples, dtype=bool)
-            tree = self._fit_tree(codes[mask], residuals[mask], bin_edges)
+                # Too small a draw falls back to every row.
+                if np.count_nonzero(mask) >= max(2 * self.min_samples_leaf, 4):
+                    rows = np.flatnonzero(mask)
+            tree = self._fit_tree(keys, residuals, rows, bin_edges, width)
             self._trees.append(tree)
             raw += self.learning_rate * tree.predict(features)
             if use_validation:
@@ -246,195 +321,209 @@ class GradientBoostingRegressor:
 
     def _bin_features(
         self, features: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Quantile-bin each column into uint8 codes; return codes + edges."""
+    ) -> tuple[np.ndarray, list[list[float]], int]:
+        """Quantile-bin every column once per fit.
+
+        Column ``j`` codes ``x`` as ``searchsorted(cuts_j, x,
+        side="right")``, a code in ``[0, cuts_j.size]``.  Returns the
+        histogram-key matrix ``code + j * width`` (intp), every column's
+        cuts, and the histogram width ``max_j cuts_j.size + 1``: the
+        widest bin range in use, often far below ``n_bins``.
+        """
         num_samples, num_features = features.shape
-        codes = np.empty((num_samples, num_features), dtype=np.uint8)
-        edges: list[np.ndarray] = []
         quantiles = np.linspace(0.0, 1.0, self.n_bins + 1)[1:-1]
-        # One axis-0 quantile call covers every column; the per-column
-        # interpolation arithmetic is unchanged, only the Python-level
-        # loop over columns goes away.
+        # One axis-0 quantile call covers every column.
         all_cuts = np.quantile(features, quantiles, axis=0)
-        for j in range(num_features):
-            cuts = np.unique(all_cuts[:, j])
-            codes[:, j] = np.searchsorted(cuts, features[:, j], side="right")
-            edges.append(cuts)
-        return codes, edges
+        edges = [np.unique(all_cuts[:, j]) for j in range(num_features)]
+        width = max(cuts.size for cuts in edges) + 1
+        keys = np.empty((num_samples, num_features), dtype=np.intp)
+        for j, cuts in enumerate(edges):
+            keys[:, j] = np.searchsorted(cuts, features[:, j], side="right")
+        keys += np.arange(num_features) * width
+        return keys, [cuts.tolist() for cuts in edges], width
 
     def _fit_tree(
-        self, codes: np.ndarray, residuals: np.ndarray, bin_edges: list[np.ndarray]
+        self,
+        keys: np.ndarray,
+        residuals: np.ndarray,
+        rows: np.ndarray,
+        bin_edges: list[list[float]],
+        width: int,
     ) -> _Tree:
-        """Grow one regression tree, level by level (histogram splits).
+        """Grow one regression tree on ``rows``, level by level.
 
-        Every node at one depth shares a single pair of ``bincount``
-        calls over a combined ``(node, feature, bin)`` key — split
-        search is the training hot spot under online refits, and
-        batching it per level sheds the per-node NumPy dispatch that a
-        node-at-a-time scan pays.  The result is bit-identical to that
-        scan: within each histogram cell, samples accumulate in the
-        same ascending row order; each node's ``argmax`` runs over its
-        own ``(feature, bin)`` slice with the same first-maximum
-        tie-break; leaf values and gains use the same float-op
-        sequence.  Only the node *numbering* differs (breadth-first
-        here), which nothing observes — predictions, node counts,
-        depths and importances are unchanged.
+        Each level is one batch of array operations over all its nodes:
+        one gain search (:meth:`_best_cells`) and one stable sort that
+        partitions the level's rows into the next level's nodes.  ``rows``
+        stay grouped by node in breadth-first order and ascending within
+        each node, so every node total is one pairwise ``np.add.reduce``
+        over the node's residuals in ascending row order.  Nodes are
+        numbered breadth-first, each split adding a (left, right) pair,
+        and the tree records its depth.
         """
+        lam = self.l2_regularization
+        num_features = keys.shape[1]
+        key_values = keys.ravel()
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
-        right: list[int] = []
         value: list[float] = []
-
-        def new_node() -> int:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            return len(feature) - 1
-
-        n_bins = self.n_bins
-        lam = self.l2_regularization
-        min_leaf = self.min_samples_leaf
-        num_features = codes.shape[1]
-        stripe = num_features * n_bins
-        feat_offsets = np.arange(num_features, dtype=np.intp) * n_bins
-        root = new_node()
-        level: list[tuple[int, np.ndarray]] = [
-            (root, np.arange(codes.shape[0]))
-        ]
+        sizes = [rows.size]  # rows per node of the level
+        node_of_row = np.zeros(rows.size, dtype=np.intp)  # index in level
+        first = 0  # id of the level's first node
         depth = 0
-        while level:
-            # Leaf values first: every node gets one whether it splits
-            # or not; splittable nodes carry their residuals forward.
-            splittable: list[tuple[int, np.ndarray, np.ndarray, float]] = []
-            for node, idx in level:
-                res = residuals[idx]
-                total = res.sum()
-                value[node] = total / (res.size + lam)
-                if depth >= self.max_depth or idx.size < 2 * min_leaf:
-                    continue
-                splittable.append((node, idx, res, total))
-            if not splittable:
+        while True:
+            num_nodes = len(sizes)
+            res = residuals.take(rows)
+            totals = []
+            end = 0
+            for size in sizes:
+                totals.append(float(np.add.reduce(res[end : end + size])))
+                end += size
+            value.extend([t / (c + lam) for t, c in zip(totals, sizes)])
+            if depth >= self.max_depth or width == 1:
                 break
-            num_nodes = len(splittable)
-            if num_nodes == 1:
-                sub = codes[splittable[0][1]]
-                flat = (sub + feat_offsets).ravel()
-                res_all = splittable[0][2]
-            else:
-                lengths = [entry[1].size for entry in splittable]
-                all_idx = np.concatenate([entry[1] for entry in splittable])
-                slot = np.repeat(
-                    np.arange(num_nodes, dtype=np.intp) * stripe, lengths
-                )
-                sub = codes[all_idx]
-                flat = (sub + feat_offsets + slot[:, None]).ravel()
-                res_all = residuals[all_idx]
-            length = stripe * num_nodes
-            counts = np.bincount(flat, minlength=length).astype(np.float64)
-            sums = np.bincount(
-                flat, weights=np.repeat(res_all, num_features), minlength=length
+            cells = self._best_cells(
+                keys.take(rows, axis=0), node_of_row, res, sizes, totals, width
             )
-            left_counts = counts.reshape(num_nodes, num_features, n_bins).cumsum(
-                axis=2
-            )[:, :, :-1]
-            left_sums = sums.reshape(num_nodes, num_features, n_bins).cumsum(
-                axis=2
-            )[:, :, :-1]
-            next_level: list[tuple[int, np.ndarray]] = []
-            for s, (node, idx, res, total_sum) in enumerate(splittable):
-                total_count = res.size
-                parent_score = total_sum * total_sum / (total_count + lam)
-                node_left_counts = left_counts[s]
-                node_left_sums = left_sums[s]
-                right_counts = total_count - node_left_counts
-                right_sums = total_sum - node_left_sums
-                valid = (node_left_counts >= min_leaf) & (
-                    right_counts >= min_leaf
-                )
-                if not valid.any():
-                    continue
-                gains = (
-                    node_left_sums**2 / (node_left_counts + lam)
-                    + right_sums**2 / (right_counts + lam)
-                    - parent_score
-                )
-                gains[~valid] = -np.inf
-                flat_best = int(np.argmax(gains))
-                feat, split_bin = divmod(flat_best, n_bins - 1)
-                gain = float(gains[feat, split_bin])
-                if gain <= 1e-12:
-                    continue
-                go_left = codes[idx, feat] <= split_bin
-                left_idx = idx[go_left]
-                right_idx = idx[~go_left]
-                if left_idx.size < min_leaf or right_idx.size < min_leaf:
-                    continue
-                cuts = bin_edges[feat]
-                feature[node] = feat
-                # Threshold is the raw-space upper edge of the split bin
-                # so predict() works on unbinned inputs.
-                threshold[node] = (
-                    float(cuts[split_bin]) if split_bin < cuts.size else np.inf
-                )
-                left[node] = new_node()
-                right[node] = new_node()
-                next_level.append((left[node], left_idx))
-                next_level.append((right[node], right_idx))
-            level = next_level
+            if max(cells) < 0:
+                break
+            # Per node: (child offset into the next level, split feature,
+            # key of the split's last left bin).  Split nodes take (left,
+            # right) child pairs in level order; the rows of nodes that
+            # stay leaves get an offset past every child and drop.
+            routes = []
+            next_first = first + num_nodes
+            pairs = 0
+            for cell in cells:
+                if cell < 0:
+                    feature.append(-1)
+                    threshold.append(0.0)
+                    left.append(-1)
+                    routes += (2 * num_nodes, 0, 0)
+                else:
+                    feat, split_bin = divmod(cell, width - 1)
+                    feature.append(feat)
+                    threshold.append(bin_edges[feat][split_bin])
+                    left.append(next_first + pairs)
+                    routes += (pairs, feat, feat * width + split_bin)
+                    pairs += 2
+            offset, feat, cut = (
+                np.array(routes).reshape(-1, 3).T.take(node_of_row, axis=1)
+            )
+            # Partition: a row goes right past its node's split bin.
+            child = offset + (key_values.take(rows * num_features + feat) > cut)
+            sizes = np.bincount(child)[:pairs].tolist()
+            # Child indices fit a small integer type, which NumPy's stable
+            # sort handles by radix sort.
+            kept = np.argsort(
+                child.astype(np.min_scalar_type(2 * num_nodes + 1)), kind="stable"
+            )[: sum(sizes)]
+            rows = rows.take(kept)
+            node_of_row = child.take(kept)
+            first = next_first
             depth += 1
 
+        # The last level is all leaves.
+        feature.extend([-1] * len(sizes))
+        threshold.extend([0.0] * len(sizes))
+        left.extend([-1] * len(sizes))
+        left_ = np.array(left, dtype=np.int32)
         return _Tree(
-            feature=np.asarray(feature, np.int32),
-            threshold=np.asarray(threshold, np.float64),
-            left=np.asarray(left, np.int32),
-            right=np.asarray(right, np.int32),
-            value=np.asarray(value, np.float64),
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=left_,
+            right=np.where(left_ < 0, -1, left_ + 1).astype(np.int32),
+            value=np.array(value, dtype=np.float64),
+            depth=depth,
         )
+
+    def _best_cells(
+        self,
+        level_keys: np.ndarray,
+        node_of_row: np.ndarray,
+        res: np.ndarray,
+        sizes: list[int],
+        totals: list[float],
+        width: int,
+    ) -> list[int]:
+        """Each node's best split cell ``feature * (width - 1) + bin``, or
+        -1 where the node stays a leaf.
+
+        One ``bincount`` pair over ``(node, feature, bin)`` keys builds
+        every node's integer count and residual-sum histogram.  Each cell
+        sums its residuals in ascending row order, because the level's
+        rows are ascending within each node.  The gains of every split of
+        every node then come from one expression over a ``(side, node,
+        feature, bin)`` array, with the same float operations per split
+        as a node-at-a-time scan.  ``argmax`` over each node's
+        feature-major, bin-minor cells keeps the first maximum.
+
+        Codes of feature ``j`` lie in ``[0, cuts_j.size]``, so a split at
+        or past its cut count leaves the right side empty, and
+        ``min_samples_leaf >= 1`` already rejects it.  The histograms are
+        therefore only ``width`` bins wide, not ``n_bins``.
+        """
+        lam = self.l2_regularization
+        min_leaf = self.min_samples_leaf
+        num_nodes = len(sizes)
+        num_features = level_keys.shape[1]
+        # ``level_keys`` is the level's own gather: offset it in place.
+        stripe = num_features * width  # histogram cells per node
+        if num_nodes > 1:
+            level_keys += (node_of_row * stripe)[:, None]
+        flat = level_keys.ravel()
+        length = stripe * num_nodes
+        shape = (num_nodes, num_features, width)
+        counts = np.bincount(flat, minlength=length).reshape(shape)
+        sums = np.bincount(
+            flat, weights=res.repeat(num_features), minlength=length
+        ).reshape(shape)
+        # Left (index 0) and right (index 1) side of every split.
+        side_shape = (2, num_nodes, num_features, width - 1)
+        side_counts = np.empty(side_shape, dtype=np.intp)
+        side_sums = np.empty(side_shape)
+        counts[:, :, :-1].cumsum(axis=2, out=side_counts[0])
+        sums[:, :, :-1].cumsum(axis=2, out=side_sums[0])
+        np.subtract(np.array(sizes)[:, None, None], side_counts[0], out=side_counts[1])
+        np.subtract(np.array(totals)[:, None, None], side_sums[0], out=side_sums[1])
+        valid = np.minimum(side_counts[0], side_counts[1]) >= min_leaf
+        np.square(side_sums, out=side_sums)
+        side_sums /= side_counts + lam
+        gains = side_sums[0] + side_sums[1]
+        gains -= np.array([t * t / (c + lam) for t, c in zip(totals, sizes)])[
+            :, None, None
+        ]
+        gains = np.where(valid, gains, -np.inf).reshape(num_nodes, -1)
+        # No valid split leaves the maximum at -inf; a NaN gain splits.
+        return [
+            -1 if gains[node, cell] <= 1e-12 else cell
+            for node, cell in enumerate(gains.argmax(axis=1).tolist())
+        ]
 
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
 
     def _flatten(self) -> tuple:
-        """Concatenate all trees into one set of node arrays (cached).
+        """Concatenate all trees' self-looping node arrays (cached).
 
         Every tree's nodes land in a shared index space (tree ``t`` is
-        offset by the node count of trees ``0..t-1``).  Leaves are made
-        *self-looping* — their child pointers point back at themselves
-        and their feature index is forced to ``0`` (a safe gather
-        column) — so a fixed ``depth_max``-step level-order walk needs
-        no active mask: rows that reach a leaf early simply spin in
-        place until the loop ends.
+        offset by the node count of trees ``0..t-1``), so one fixed walk
+        of the deepest tree's depth routes a block through every tree.
         """
         if self._flat_trees is None:
-            num_trees = len(self._trees)
-            offsets = np.zeros(num_trees, dtype=np.intp)
-            total = 0
-            for t, tree in enumerate(self._trees):
-                offsets[t] = total
-                total += tree.num_nodes
-            feature_ = np.empty(total, dtype=np.intp)
-            threshold_ = np.empty(total, dtype=np.float64)
-            left_ = np.empty(total, dtype=np.intp)
-            right_ = np.empty(total, dtype=np.intp)
-            value_ = np.empty(total, dtype=np.float64)
-            depth_max = 0
-            for t, tree in enumerate(self._trees):
-                off = int(offsets[t])
-                end = off + tree.num_nodes
-                leaf = tree.feature < 0
-                own = np.arange(off, end, dtype=np.intp)
-                feature_[off:end] = np.where(leaf, 0, tree.feature)
-                threshold_[off:end] = tree.threshold
-                left_[off:end] = np.where(leaf, own, tree.left + off)
-                right_[off:end] = np.where(leaf, own, tree.right + off)
-                value_[off:end] = tree.value
-                depth_max = max(depth_max, tree.depth())
+            sizes = [tree.num_nodes for tree in self._trees]
+            offsets = np.cumsum([0] + sizes[:-1])
+            loops = [tree.self_looping() for tree in self._trees]
             self._flat_trees = (
-                feature_, threshold_, left_, right_, value_, offsets, depth_max
+                np.concatenate([loop[0] for loop in loops]),
+                np.concatenate([tree.threshold for tree in self._trees]),
+                np.concatenate([loop[1] + off for loop, off in zip(loops, offsets)]),
+                np.concatenate([loop[2] + off for loop, off in zip(loops, offsets)]),
+                np.concatenate([tree.value for tree in self._trees]),
+                offsets,
+                max(tree.depth for tree in self._trees),
             )
         return self._flat_trees
 
@@ -443,7 +532,7 @@ class GradientBoostingRegressor:
 
         Accumulates tree contributions one tree at a time in boosting
         order, so every element sees the exact float-op sequence of both
-        the legacy per-tree ``predict`` loop and the scalar
+        the per-tree ``predict`` loop ``fit`` runs and the scalar
         ``predict_one`` walk (``raw += rate * leaf``); a fused or pairwise
         summation would round differently.
         """
@@ -454,14 +543,10 @@ class GradientBoostingRegressor:
         feature_, threshold_, left_, right_, value_, offsets, depth_max = (
             self._flatten()
         )
-        node = np.empty((offsets.size, num_rows), dtype=np.intp)
-        node[:] = offsets[:, None]
-        cols = np.arange(num_rows)
-        for _ in range(depth_max):
-            feat = feature_[node]
-            go_left = features[cols, feat] <= threshold_[node]
-            node = np.where(go_left, left_[node], right_[node])
-        leaves = value_[node]
+        start = np.repeat(offsets[:, None], num_rows, axis=1)
+        leaves = value_[
+            _walk(features, feature_, threshold_, left_, right_, start, depth_max)
+        ]
         rate = self.learning_rate
         for t in range(offsets.size):
             raw += rate * leaves[t]
@@ -566,9 +651,7 @@ class GradientBoostingRegressor:
             raise RuntimeError("model has not been fitted")
         return {
             "trees": self.num_trees,
-            "max_tree_depth": max(
-                (tree.depth() for tree in self._trees), default=0
-            ),
+            "max_tree_depth": max((tree.depth for tree in self._trees), default=0),
             "tree_nodes": sum(tree.num_nodes for tree in self._trees),
             "importances": self.feature_importances(num_features),
         }
