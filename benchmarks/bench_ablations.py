@@ -76,9 +76,12 @@ def ablation_window_currency():
         mean_requests = max(
             int(np.mean([w.num_requests for w in by_bytes.hro.windows] or [1000])), 256
         )
+        # A window closes once both its unique-byte and its request-count
+        # conditions hold, so a vanishing byte multiple leaves the request
+        # count alone to decide.
         by_requests = LhrCache(
             capacity,
-            window_multiple=1e9,  # unique-byte condition never binds
+            window_multiple=1e-9,
             min_window_requests=mean_requests,
             seed=0,
         )
@@ -90,6 +93,8 @@ def ablation_window_currency():
                 "hit[request-count window]": round(by_requests.object_hit_ratio, 3),
                 "windows_bytes": by_bytes.windows_processed,
                 "windows_requests": by_requests.windows_processed,
+                "trainings_bytes": by_bytes.trainings,
+                "trainings_requests": by_requests.trainings,
             }
         )
     return rows
@@ -181,8 +186,13 @@ def test_ablations(benchmark):
     exact, approx = (r["hit_ratio"] for r in sections["hro_vs_exact"])
     assert abs(exact - approx) < 0.12
     # Unique-byte windows (the paper's choice) are no worse than
-    # request-count windows of comparable length.
+    # request-count windows of comparable length, and both runs close
+    # windows and train on them (a run that never closes one compares
+    # nothing).
     for row in sections["window_currency"]:
+        for currency in ("bytes", "requests"):
+            assert row[f"windows_{currency}"] > 0, row
+            assert row[f"trainings_{currency}"] > 0, row
         assert (
             row["hit[unique-bytes window]"]
             >= row["hit[request-count window]"] - 0.03

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Admission audit: where do wasted admissions go?
 
-Wraps several policies in the diagnostics instrumentation and compares
+Replays several policies with a decision tracer attached and compares
 the quantities an admission policy exists to control: how many misses
 were admitted, how many admissions died without serving a single hit
 ("dead on arrival"), and how long evicted objects survived.  Run on a
@@ -12,7 +12,8 @@ Run:  python examples/admission_audit.py
 """
 
 from repro import generate_production_trace
-from repro.sim import InstrumentedPolicy, build_policy
+from repro.obs import DecisionTracer
+from repro.sim import build_policy, simulate
 
 POLICIES = ("lru", "b-lru", "secondhit", "adaptsize", "w-tinylfu", "lhr")
 
@@ -33,12 +34,12 @@ def main() -> None:
     print("-" * len(header))
     for name in POLICIES:
         kwargs = {"seed": 0} if name == "lhr" else {}
-        wrapped = InstrumentedPolicy(build_policy(name, capacity, **kwargs))
-        wrapped.process(trace)
-        report = wrapped.report()
+        tracer = DecisionTracer()
+        result = simulate(build_policy(name, capacity, **kwargs), trace, tracer=tracer)
+        report = tracer.residency()
         print(
             f"{name:<11}"
-            f"{report['object_hit_ratio']:>10.3f}"
+            f"{result.object_hit_ratio:>10.3f}"
             f"{report['admission_ratio'] * 100:>9.1f}"
             f"{report['dead_on_arrival_ratio'] * 100:>8.1f}"
             f"{report['mean_eviction_age_s']:>15.0f}"

@@ -21,7 +21,9 @@ requests and produces a per-window **divergence report**:
 ``analyze_trace`` is the one-call entry point behind the ``repro
 analyze`` CLI subcommand: run the policy (traced) and HRO (traced) over
 one trace and assemble an :class:`AnalysisReport` renderable as text,
-JSON, or a per-window CSV time series.
+JSON, or a per-window CSV time series.  The report also carries the
+policy's residency diagnostics (admission and dead-on-arrival ratios,
+eviction age, hits per residency; see :mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
@@ -246,6 +248,9 @@ class AnalysisReport:
     policy_hit_ratio: float
     hro_hit_ratio: float
     top_evictors: list[tuple[int, int]]
+    #: The policy's residency diagnostics (``DecisionTracer.residency``);
+    #: HRO reports no evictions, so it has none.
+    residency: dict
 
     def as_dict(self) -> dict:
         return {
@@ -257,6 +262,7 @@ class AnalysisReport:
             "hro_hit_ratio": round(self.hro_hit_ratio, 6),
             "miss_taxonomy": self.policy_taxonomy.as_dict(),
             "hro_miss_taxonomy": self.hro_taxonomy.as_dict(),
+            "residency": self.residency,
             "top_evictors": [
                 {"obj_id": obj_id, "misses_caused": count}
                 for obj_id, count in self.top_evictors
@@ -294,6 +300,16 @@ class AnalysisReport:
                 f"{obj_id} ({count})" for obj_id, count in self.top_evictors
             )
             lines.append(f"  top evictors (obj_id (misses caused)): {evictors}")
+        res = self.residency
+        lines += [
+            "",
+            f"residency ({self.policy}): admitted {res['admission_ratio']:.1%} "
+            f"of misses; {res['completed_residencies']} evicted, "
+            f"{res['dead_on_arrival_ratio']:.1%} dead on arrival",
+            f"  eviction age mean {res['mean_eviction_age_s']:.2f} s, "
+            f"p90 {res['p90_eviction_age_s']:.2f} s; "
+            f"hits per residency {res['mean_hits_per_residency']:.3f}",
+        ]
         totals = self.divergence.totals
         lines += [
             "",
@@ -375,4 +391,5 @@ def analyze_trace(
         policy_hit_ratio=policy_tracer.hit_ratio,
         hro_hit_ratio=hro_tracer.hit_ratio,
         top_evictors=policy_tracer.top_evictors(),
+        residency=policy_tracer.residency(),
     )

@@ -27,20 +27,32 @@ The class counts always sum exactly to the total number of misses: every
 miss is either a first occurrence (cold ∪ one-hit-wonder) or a re-miss,
 and a re-missed content was last either rejected or evicted.
 
+Alongside the taxonomy the tracer keeps **residency diagnostics**, which
+measure the waste admission control exists to cut
+(:meth:`DecisionTracer.residency`).  An admitted miss opens a residency,
+each hit on the content adds one hit to it, and each eviction closes it
+at the evicting request's time.  The tracer reports the admission ratio
+(admitted misses over misses), the dead-on-arrival ratio (closed
+residencies that served no hit), the eviction age (time from admission
+to eviction; mean and p90) and the mean hits per residency.
+
 Records may be ring-buffered (``buffer=N`` keeps the last N) and sampled
-(``sample_every=K`` keeps every K-th request); the taxonomy counters
-always cover every request regardless.  The divergence analyzer
+(``sample_every=K`` keeps every K-th request); the taxonomy and residency
+counters always cover every request regardless.  The divergence analyzer
 (:mod:`repro.obs.analyze`) requires complete traces — check
 :attr:`DecisionTracer.is_complete`.
 
-This module depends on nothing else in the package so it can be imported
-from anywhere (policies, engine, metrics) without cycles.
+This module depends only on :mod:`repro.util`, which depends on nothing
+else in the package, so it can be imported from anywhere (policies,
+engine, metrics) without cycles.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+
+from repro.util.stats import PercentileTracker, RunningStats
 
 #: Miss taxonomy class names, in report order.
 MISS_COLD = "cold"
@@ -201,6 +213,15 @@ class DecisionTracer:
         #: contents whose first request was a (cold) miss — the pool the
         #: one-hit-wonder split draws from at taxonomy time.
         self._cold_ids: set[int] = set()
+        #: Residency diagnostics: misses admitted, each cached content's
+        #: open residency as ``[admitted_at, hits]``, and what closed ones
+        #: measured.
+        self.admitted_misses = 0
+        self._residencies: dict[int, list] = {}
+        self.eviction_ages = RunningStats()
+        self.eviction_age_percentiles = PercentileTracker(capacity=8192, seed=1)
+        self.hits_per_residency = RunningStats()
+        self.dead_on_arrival = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -223,17 +244,31 @@ class DecisionTracer:
         occurrences = self._occurrences.get(obj_id, 0)
         self._occurrences[obj_id] = occurrences + 1
         self.requests += 1
+        residencies = self._residencies
+        # Victims leave before the request's own residency moves.
+        for victim in victims:
+            residency = residencies.pop(victim, None)
+            if residency is not None:
+                self._close_residency(residency, req.time)
         miss_class: str | None = None
         if hit:
             self.hits += 1
             self._state[obj_id] = _RESIDENT
+            residency = residencies.get(obj_id)
+            if residency is not None:
+                residency[1] += 1
         else:
             self.misses += 1
             miss_class = self._classify_miss(
                 obj_id, occurrences, probability, threshold
             )
             self._class_counts[miss_class] += 1
-            self._state[obj_id] = _RESIDENT if admitted else _REJECTED
+            if admitted:
+                self._state[obj_id] = _RESIDENT
+                self.admitted_misses += 1
+                residencies[obj_id] = [req.time, 0]
+            else:
+                self._state[obj_id] = _REJECTED
         for victim in victims:
             self._state[victim] = _EVICTED
             self._evicted_by[victim] = (index, obj_id)
@@ -253,6 +288,15 @@ class DecisionTracer:
                     miss_class=miss_class,
                 )
             )
+
+    def _close_residency(self, residency: list, now: float) -> None:
+        admitted_at, hits = residency
+        age = max(now - admitted_at, 0.0)
+        self.eviction_ages.add(age)
+        self.eviction_age_percentiles.add(age)
+        self.hits_per_residency.add(float(hits))
+        if hits == 0:
+            self.dead_on_arrival += 1
 
     def _classify_miss(
         self,
@@ -331,8 +375,41 @@ class DecisionTracer:
     def hit_ratio(self) -> float:
         return self.hits / self.requests if self.requests else 0.0
 
+    @property
+    def completed_residencies(self) -> int:
+        """Residencies an eviction has closed."""
+        return self.eviction_ages.count
+
+    @property
+    def admission_ratio(self) -> float:
+        """Fraction of misses that were admitted."""
+        return self.admitted_misses / self.misses if self.misses else 0.0
+
+    @property
+    def dead_on_arrival_ratio(self) -> float:
+        """Fraction of completed residencies that served zero hits."""
+        completed = self.completed_residencies
+        return self.dead_on_arrival / completed if completed else 0.0
+
+    def residency(self) -> dict:
+        """The residency diagnostics, rounded for reports.  Residencies
+        still open (content cached when the trace ended) are not in the
+        eviction-age and hits-per-residency figures."""
+        return {
+            "admission_ratio": round(self.admission_ratio, 4),
+            "dead_on_arrival_ratio": round(self.dead_on_arrival_ratio, 4),
+            "mean_eviction_age_s": round(self.eviction_ages.mean, 2),
+            "p90_eviction_age_s": round(
+                self.eviction_age_percentiles.percentile(90), 2
+            ),
+            "mean_hits_per_residency": round(self.hits_per_residency.mean, 3),
+            "completed_residencies": self.completed_residencies,
+            "dead_on_arrival": self.dead_on_arrival,
+        }
+
     def summary(self) -> dict:
-        """JSON-able overview: counters, taxonomy and top evictors."""
+        """JSON-able overview: counters, taxonomy, residency diagnostics
+        and top evictors."""
         return {
             "requests": self.requests,
             "hits": self.hits,
@@ -342,6 +419,7 @@ class DecisionTracer:
             "sample_every": self.sample_every,
             "buffer": self.buffer,
             "taxonomy": self.taxonomy().as_dict(),
+            "residency": self.residency(),
             "top_evictors": [
                 {"obj_id": obj_id, "misses_caused": count}
                 for obj_id, count in self.top_evictors()

@@ -214,8 +214,8 @@ class CachePolicy(ABC):
         instruction stream — no per-request guard on the disabled path
         (``bench_obs_overhead`` asserts this stays true).  The wrapper
         sees decisions only through ``_remove`` and the counters, so a
-        class that overrides ``request`` (``TieredCache`` bypasses both)
-        is rejected with ``ValueError``.  An inlined span kernel is
+        class that overrides ``request`` (and could bypass both) is
+        rejected with ``ValueError``.  An inlined span kernel is
         pinned to the base walker while the tracer is attached
         (``_pin_span_kernel``); LHR's kernel walks ``request`` and keeps
         running.

@@ -77,7 +77,8 @@ class LhdCache(CachePolicy):
         # The cached objects, one slot each in columns of the last access,
         # size and reference-count class that ``hit_density`` reads.
         self._cached = IndexedSet(columns=("last", "size", "class"))
-        self._last_access: dict[int, float] = {}
+        # Every content's reference count, cached or not: the class
+        # needs history.
         self._counts: dict[int, int] = {}
         self._classes = [_ClassStats() for _ in range(_NUM_CLASSES)]
         # Each class's ``hit_probability`` and ``expected_time``, refreshed
@@ -89,9 +90,12 @@ class LhdCache(CachePolicy):
         return _count_class(self._counts.get(obj_id, 1))
 
     def hit_density(self, obj_id: int, now: float) -> float:
-        """Estimated hits per byte-second for a cached object."""
+        """Estimated hits per byte-second for a cached object (an
+        uncached one counts as not idle)."""
         stats = self._classes[self._class_of(obj_id)]
-        idle = max(now - self._last_access.get(obj_id, now), 0.0)
+        slot = self._cached.slot(obj_id)
+        last = now if slot is None else float(self._cached.columns["last"][slot])
+        idle = max(now - last, 0.0)
         expected_wait = max(stats.expected_time - idle, stats.expected_time * 0.1)
         size = self._sizes.get(obj_id, 1)
         return stats.hit_probability / (size * expected_wait)
@@ -105,14 +109,13 @@ class LhdCache(CachePolicy):
             # then the slot takes the new access and class.
             cls = self._class_of(obj_id)
             stats = self._classes[cls]
-            stats.record_hit(req.time - self._last_access[obj_id])
+            columns = self._cached.columns
+            stats.record_hit(req.time - float(columns["last"][slot]))
             self._hit_probability[cls] = stats.hit_probability
             self._expected_time[cls] = stats.expected_time
-            columns = self._cached.columns
             columns["last"][slot] = req.time
             columns["class"][slot] = _count_class(count)
         self._counts[obj_id] = count
-        self._last_access[obj_id] = req.time
 
     def _on_admit(self, req: Request) -> None:
         slot = self._cached.add(req.obj_id)
@@ -147,4 +150,4 @@ class LhdCache(CachePolicy):
         return cached.key(int(idx[density.argmin()]))
 
     def metadata_bytes(self) -> int:
-        return super().metadata_bytes() + 24 * len(self._last_access)
+        return super().metadata_bytes() + 24 * len(self._counts)

@@ -2,7 +2,6 @@
 deployments with origin, flash and resource-accounting models.
 """
 
-from repro.proto.cluster import CdnCluster, ConsistentHashRing
 from repro.proto.ats import (
     AtsServer,
     CostModel,
@@ -23,8 +22,6 @@ from repro.proto.origin import OriginServer, OriginStats
 __all__ = [
     "AtsServer",
     "CaffeineServer",
-    "CdnCluster",
-    "ConsistentHashRing",
     "CostModel",
     "FlashStats",
     "FlashStore",

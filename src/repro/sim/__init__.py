@@ -4,8 +4,6 @@ experiment sweep runner.
 
 from repro.sim.analytical import CheModel, che_hit_ratio_curve, fit_che_model
 from repro.sim.engine import simulate
-from repro.sim.hierarchy import TieredCache
-from repro.sim.instrumentation import InstrumentedPolicy
 from repro.sim.hitrate_curve import (
     HitRateCurve,
     ReuseDistanceAnalyzer,
@@ -46,7 +44,6 @@ __all__ = [
     "CellSpec",
     "CheModel",
     "HitRateCurve",
-    "InstrumentedPolicy",
     "LatencyReport",
     "NetworkModel",
     "PackedTrace",
@@ -54,7 +51,6 @@ __all__ = [
     "ReuseDistanceAnalyzer",
     "SimulationResult",
     "SweepCellError",
-    "TieredCache",
     "che_hit_ratio_curve",
     "fit_che_model",
     "grid_order",

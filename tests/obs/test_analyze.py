@@ -175,9 +175,23 @@ class TestAnalyzeTrace:
         assert payload["miss_taxonomy"]["total_misses"] == (
             report.policy_taxonomy.total
         )
+        assert payload["residency"] == report.residency
         text = report.render_text()
         assert "miss taxonomy" in text
         assert "agreement" in text
+        assert "dead on arrival" in text
+
+    def test_residency_is_the_policy_tracers(self, report, small_trace, capacity):
+        tracer = DecisionTracer()
+        simulate(
+            build_policy(
+                "lhr", capacity, window_multiple=4.0, min_window_requests=512
+            ),
+            small_trace,
+            tracer=tracer,
+        )
+        assert report.residency == tracer.residency()
+        assert report.residency["completed_residencies"] > 0
 
     def test_lru_policy_works_too(self, small_trace, capacity):
         report = analyze_trace(

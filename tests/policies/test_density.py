@@ -140,6 +140,15 @@ def lhd_replays(draw):
     return trace, settings_
 
 
+def _cached_last_access(cache):
+    """Each cached object's last access: the reference's dict entry, the
+    columnar cache's ``last`` slot column (its only copy)."""
+    if isinstance(cache, ReferenceLhdCache):
+        return {o: cache._last_access[o] for o in cache._cached}
+    column = cache._cached.columns["last"]
+    return {o: float(column[cache._cached.slot(o)]) for o in cache._cached}
+
+
 def _lhd_state(cache):
     return (
         cache.hits,
@@ -154,18 +163,17 @@ def _lhd_state(cache):
         # The slot order: the columnar layout swap-removes as IndexedSet does.
         list(cache._cached),
         cache._counts,
-        cache._last_access,
+        _cached_last_access(cache),
         [(s.hit_probability, s.expected_time) for s in cache._classes],
         cache._rng.bit_generator.state,
     )
 
 
 def _check_columns(cache):
-    """The columnar cache's slot columns and per-class arrays mirror the
-    dicts and class stats ``hit_density`` reads."""
+    """The columnar cache's size and class columns and per-class arrays
+    mirror the sizes, counts and class stats ``hit_density`` reads."""
     cached = list(cache._cached)
     columns = cache._cached.columns
-    assert columns["last"][: len(cached)].tolist() == [cache._last_access[o] for o in cached]
     assert columns["size"][: len(cached)].tolist() == [cache._sizes[o] for o in cached]
     assert columns["class"][: len(cached)].tolist() == [cache._class_of(o) for o in cached]
     assert cache._hit_probability.tolist() == [s.hit_probability for s in cache._classes]

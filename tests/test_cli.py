@@ -206,6 +206,10 @@ class TestAnalyze:
         assert sum(tax[c] for c in classes) == tax["total_misses"]
         totals = payload["divergence"]["totals"]
         assert 0.0 <= totals["agreement_rate"] <= 1.0
+        residency = payload["residency"]
+        assert 0.0 <= residency["admission_ratio"] <= 1.0
+        assert 0.0 <= residency["dead_on_arrival_ratio"] <= 1.0
+        assert residency["dead_on_arrival"] <= residency["completed_residencies"]
         assert payload["requests"] == 2500
         assert sum(w["requests"] for w in payload["divergence"]["windows"]) \
             == 2500
