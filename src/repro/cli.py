@@ -155,9 +155,12 @@ def load_any_trace(path: str) -> Trace:
     file_path = Path(path)
     if not file_path.exists():
         raise SystemExit(f"error: trace file {path!r} does not exist")
-    if file_path.suffix.lower() == ".csv":
-        return load_trace_csv(file_path)
-    return load_trace_webcachesim(file_path)
+    is_csv = file_path.suffix.lower() == ".csv"
+    load = load_trace_csv if is_csv else load_trace_webcachesim
+    try:
+        return load(file_path)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _save_any_trace(trace: Trace, path: str, fmt: str) -> None:

@@ -25,6 +25,7 @@ window).
 from __future__ import annotations
 
 import time
+from math import isfinite
 
 import numpy as np
 
@@ -160,8 +161,8 @@ class LhrCache(CachePolicy):
         self._last_access_time = 0.0
 
         self._current_p = 1.0
-        #: The feature row and ``p`` that ``replay_span`` scored for the
-        #: request it is replaying; None outside a span.
+        #: The feature row and raw model score that ``replay_span``
+        #: computed for the request it is replaying; None outside a span.
         self._scored: tuple[np.ndarray, float] | None = None
         self.trainings = 0
         self.training_seconds = 0.0
@@ -212,18 +213,22 @@ class LhrCache(CachePolicy):
         obj_id = req.obj_id
         size = req.size
         now = req.time
-        self._last_access_time = now
         scored = self._scored
         if scored is not None:
             row, p = scored
         else:
             # Outside a span: gather and score this request alone.
             row = self.features.vector(obj_id, now, self.num_irts)
-            if self._model is not None:
-                p = min(max(self._backend.score_one(self._model, row), 0.0), 1.0)
-            else:
-                # Bootstrap (first window): behave as admit-all with p = 1.
-                p = 1.0
+            # Bootstrap (first window): behave as admit-all with p = 1.
+            model = self._model
+            p = 1.0 if model is None else self._backend.score_one(model, row)
+        if not isfinite(p):
+            # Fail closed: a NaN would pass the clip into L.
+            raise ValueError(
+                f"{self.name}: request {req.index}: model score {p} is not finite"
+            )
+        p = min(max(p, 0.0), 1.0)
+        self._last_access_time = now
         self._current_p = p
         self.features.observe_scalar(obj_id, size, now)
         self._window_rows.append(row)
@@ -278,11 +283,6 @@ class LhrCache(CachePolicy):
         ``IRT_1`` is the time since the last access, floored at 1e-9, and
         1e9 when the content's feature record was pruned.  ``argmin``
         evicts the first smallest ``q``.
-
-        A NaN ``q`` (a hit stored a NaN score in L) never wins under
-        ``"lhr"``, and a sample that is all NaN raises ``RuntimeError``.
-        The two ablation rules evict a NaN first sample, as ``min()``
-        over the sample did.
         """
         count = self._num_candidates
         cached = self._cached
@@ -299,19 +299,7 @@ class LhrCache(CachePolicy):
             if self.eviction_rule == "lhr":
                 irt1 *= columns["size"][idx]
             q = q / irt1
-        best = int(q.argmin())
-        if q[best] != q[best]:
-            # argmin stops at the first NaN; skip them as described above.
-            nan = np.isnan(q)
-            if self.eviction_rule != "lhr" and nan[0]:
-                best = 0
-            elif nan.all():
-                raise RuntimeError(
-                    f"{self.name}: every sampled eviction candidate scores NaN"
-                )
-            else:
-                best = int(np.where(nan, np.inf, q).argmin())
-        return cached.key(int(idx[best]))
+        return cached.key(int(idx[q.argmin()]))
 
     # ------------------------------------------------------------------
     # Columnar fast path (batched inference kernel)
@@ -324,7 +312,10 @@ class LhrCache(CachePolicy):
         ``FeatureStore.feature_matrix`` gather and scored in one model
         backend call.  Each request then runs through ``request``, the
         base control flow with this class's hooks, and ``_on_access``
-        takes the row and ``p`` scored for it instead of scoring alone.
+        takes the row and score computed for it instead of scoring alone,
+        then checks and clips the score as it would its own.  So only a
+        score a request consumes can fail the check, never one in a
+        span tail that a window close discards.
         ``request`` is whatever the instance carries, so subclass hooks
         and an attached decision tracer see every request.  When HRO
         closes a window mid-span the model, threshold and feature store
@@ -347,8 +338,7 @@ class LhrCache(CachePolicy):
                 )
                 windows_before = self.windows_processed
                 for k in range(end - i):
-                    p = 1.0 if probs is None else min(max(probs[k], 0.0), 1.0)
-                    self._scored = (block[k], p)
+                    self._scored = (block[k], 1.0 if probs is None else probs[k])
                     j = i + k
                     request(Request(times[j], obj_ids[j], sizes[j], j))
                     if self.windows_processed != windows_before:

@@ -3,17 +3,18 @@
 Single-trace numbers hide generator noise.  This harness re-runs a
 (policy, capacity) comparison across several stand-in trace seeds and
 reports mean ± sample standard deviation per policy — the form results
-should take before any "X beats Y" claim.  Cells are independent, so the
-sweep optionally fans out over a process pool.
+should take before any "X beats Y" claim.  Each seed's trace is
+generated once and replayed through :func:`~repro.sim.runner.run_comparison`,
+which optionally fans the policies out over worker processes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from repro.traces.production import PRODUCTION_SPECS
+from repro.sim.runner import run_comparison
+from repro.traces.production import PRODUCTION_SPECS, generate_production_trace
 
 
 @dataclass(frozen=True)
@@ -66,20 +67,6 @@ class ReplicatedResult:
         }
 
 
-def _run_cell(args: tuple) -> tuple[str, int, float, float]:
-    """One (policy, seed) cell; module-level so it pickles for workers."""
-    spec_name, policy_name, cache_gb, scale, seed, policy_kwargs = args
-    from repro.sim.runner import build_policy
-    from repro.traces.production import generate_production_trace
-
-    spec = PRODUCTION_SPECS[spec_name]
-    trace = generate_production_trace(spec, scale=scale, seed=seed)
-    capacity = spec.scaled_cache_bytes(cache_gb, scale)
-    policy = build_policy(policy_name, capacity, **(policy_kwargs or {}))
-    policy.process(trace)
-    return policy_name, seed, policy.object_hit_ratio, policy.byte_hit_ratio
-
-
 def replicate_comparison(
     spec_name: str,
     policy_names: list[str],
@@ -89,42 +76,38 @@ def replicate_comparison(
     policy_kwargs: dict[str, dict] | None = None,
     workers: int = 0,
 ) -> list[ReplicatedResult]:
-    """Run every policy over freshly generated traces for every seed.
+    """Run every policy over a freshly generated trace for every seed.
 
-    ``workers > 1`` fans cells out over a process pool; results are
-    identical either way (each cell is deterministic in its seed).
+    ``workers > 1`` fans each seed's policies out over that many worker
+    processes; results are identical either way (each cell is
+    deterministic in its seed).
     """
     if spec_name not in PRODUCTION_SPECS:
         raise ValueError(f"unknown trace spec {spec_name!r}")
     if not seeds:
         raise ValueError("need at least one seed")
-    overrides = policy_kwargs or {}
-    cells = [
-        (spec_name, name, cache_gb, scale, seed, overrides.get(name))
-        for name in policy_names
-        for seed in seeds
-    ]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
-    else:
-        outcomes = [_run_cell(cell) for cell in cells]
-
     spec = PRODUCTION_SPECS[spec_name]
     capacity = spec.scaled_cache_bytes(cache_gb, scale)
-    results = []
-    for name in policy_names:
-        mine = sorted(
-            (o for o in outcomes if o[0] == name), key=lambda o: o[1]
+    seeds = sorted(seeds)
+    # One row per seed, in policy_names order (the grid has one capacity).
+    runs = [
+        run_comparison(
+            generate_production_trace(spec, scale=scale, seed=seed),
+            policy_names,
+            [capacity],
+            policy_kwargs=policy_kwargs,
+            parallel=workers,
         )
-        results.append(
-            ReplicatedResult(
-                policy=name,
-                trace=spec_name,
-                capacity=capacity,
-                seeds=tuple(o[1] for o in mine),
-                object_hit_ratios=tuple(o[2] for o in mine),
-                byte_hit_ratios=tuple(o[3] for o in mine),
-            )
+        for seed in seeds
+    ]
+    return [
+        ReplicatedResult(
+            policy=name,
+            trace=spec_name,
+            capacity=capacity,
+            seeds=tuple(seeds),
+            object_hit_ratios=tuple(run[column].object_hit_ratio for run in runs),
+            byte_hit_ratios=tuple(run[column].byte_hit_ratio for run in runs),
         )
-    return results
+        for column, name in enumerate(policy_names)
+    ]

@@ -8,20 +8,19 @@ Two on-disk formats are supported:
   header, the de-facto interchange format used by the LRB/webcachesim
   simulators the paper builds on.
 
-Both loaders fail closed: a row with an unparsable field, a non-finite or
-negative time, a time below the previous row's, a non-positive size, or an
-id or size outside int64 (the packed columns every replay runs on) raises
-``ValueError`` naming ``path:line``.
+Both loaders fail closed: a row with an unparsable field or the wrong
+number of fields, or a request that breaks the trace input contract
+(:func:`repro.traces.packed.checked_columns`), raises ``ValueError``
+naming ``path:line``.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 
-from repro.traces.packed import _INT64_MAX, _INT64_MIN
-from repro.traces.request import Request, Trace
+from repro.traces.packed import PackedTrace, checked_columns
+from repro.traces.request import Trace
 
 
 def save_trace_csv(trace: Trace, path: str | Path) -> None:
@@ -37,7 +36,7 @@ def save_trace_csv(trace: Trace, path: str | Path) -> None:
 def load_trace_csv(path: str | Path, name: str | None = None) -> Trace:
     """Read a headered CSV trace written by :func:`save_trace_csv`."""
     path = Path(path)
-    requests: list[Request] = []
+    rows, lines = [], []
     with path.open() as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -49,8 +48,9 @@ def load_trace_csv(path: str | Path, name: str | None = None) -> Trace:
         for index, row in enumerate(reader):
             if len(row) != 3:
                 raise ValueError(f"{path}:{index + 2}: expected 3 columns, got {len(row)}")
-            requests.append(_parse_request(row, requests, f"{path}:{index + 2}"))
-    return Trace(requests, name=name or path.stem)
+            rows.append(_parse_request(row, f"{path}:{index + 2}"))
+            lines.append(index + 2)
+    return _checked_trace(rows, lines, path, name)
 
 
 def save_trace_webcachesim(trace: Trace, path: str | Path) -> None:
@@ -64,7 +64,7 @@ def save_trace_webcachesim(trace: Trace, path: str | Path) -> None:
 def load_trace_webcachesim(path: str | Path, name: str | None = None) -> Trace:
     """Read a webcachesim-format trace (no header, whitespace separated)."""
     path = Path(path)
-    requests: list[Request] = []
+    rows, lines = [], []
     with path.open() as handle:
         for index, line in enumerate(handle):
             line = line.strip()
@@ -73,24 +73,23 @@ def load_trace_webcachesim(path: str | Path, name: str | None = None) -> Trace:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{index + 1}: expected 3 fields, got {len(parts)}")
-            requests.append(_parse_request(parts, requests, f"{path}:{index + 1}"))
-    return Trace(requests, name=name or path.stem)
+            rows.append(_parse_request(parts, f"{path}:{index + 1}"))
+            lines.append(index + 1)
+    return _checked_trace(rows, lines, path, name)
 
 
-def _parse_request(fields: list[str], previous: list[Request], where: str) -> Request:
-    """The request in one ``time, id, size`` row, appended after
-    ``previous``; ``where`` (``path:line``) prefixes every error."""
+def _parse_request(fields: list[str], where: str) -> tuple[float, int, int]:
+    """The ``time, id, size`` in one row; ``where`` (``path:line``)
+    prefixes a parse error."""
     try:
-        time, obj_id, size = float(fields[0]), int(fields[1]), int(fields[2])
+        return float(fields[0]), int(fields[1]), int(fields[2])
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-    if not math.isfinite(time) or time < 0:
-        raise ValueError(f"{where}: time must be finite and non-negative, got {fields[0]}")
-    if previous and time < previous[-1].time:
-        raise ValueError(f"{where}: time {time} decreases from {previous[-1].time}")
-    if size <= 0:
-        raise ValueError(f"{where}: size must be positive, got {size}")
-    for column, value in (("obj_id", obj_id), ("size", size)):
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            raise ValueError(f"{where}: {column} {value} does not fit int64")
-    return Request(time=time, obj_id=obj_id, size=size, index=len(previous))
+
+
+def _checked_trace(rows: list, lines: list[int], path: Path, name: str | None) -> Trace:
+    """The parsed ``rows`` of ``path`` as a trace, checked by
+    :func:`checked_columns` with errors naming ``path:line``."""
+    columns = zip(*rows) if rows else ((), (), ())
+    checked = checked_columns(*columns, where=lambda index: f"{path}:{lines[index]}")
+    return PackedTrace(*checked, name or path.stem).unpack()

@@ -31,29 +31,72 @@ from repro.traces.request import Request, Trace
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+_NOT_INT64 = "is not an integer that fits int64"
 
 
-def _int64_column(values, column: str) -> np.ndarray:
-    """Convert ``values`` to an int64 array, naming the offender on overflow."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError as exc:
-        for index, value in enumerate(values):
-            if not _INT64_MIN <= value <= _INT64_MAX:
-                raise ValueError(
-                    f"request {index}: {column}={value} does not fit the "
-                    f"packed int64 column (range [{_INT64_MIN}, {_INT64_MAX}])"
-                ) from exc
-        raise
+def _int64_column(values) -> tuple[np.ndarray, np.ndarray | None]:
+    """``values`` as int64, and a mask of those that are not an integer
+    that fits int64 (stored as 1); None when all are signed integers."""
+    raw = np.asarray(values)
+    if raw.dtype.kind in "bi":
+        return raw.astype(np.int64, copy=False), None
+    # Floats, unsigned or huge Python ints: compare exactly (NaN never fits).
+    misfits = np.array(
+        [not (_INT64_MIN <= v <= _INT64_MAX and v == int(v)) for v in raw.tolist()],
+        dtype=bool,
+    )
+    return np.where(misfits, 1, raw).astype(np.int64), misfits
+
+
+def checked_columns(
+    times, obj_ids, sizes, where="request {}".format
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trace input contract: ``(times, obj_ids, sizes)`` as float64,
+    int64 and int64 columns, or ``ValueError`` at the first request that
+    breaks it.
+
+    A time must be finite, non-negative and no lower than the time
+    before it.  An id must be an integer, and a size a positive integer,
+    that fits int64.  A content may change size.  The error names
+    ``where(index)`` (a loader maps the index to ``path:line``), the
+    rule and the value.  A request that breaks several rules reports the
+    first in that order, so ``[0, inf, 1]`` fails on the infinite time,
+    not on the decrease after it.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    id_column, id_misfits = _int64_column(obj_ids)
+    size_column, size_misfits = _int64_column(sizes)
+    rules = (
+        (
+            ~((times >= 0.0) & (times < np.inf)),
+            lambda i: f"time must be finite and non-negative, got {times[i]}",
+        ),
+        (
+            np.concatenate(([False], times[1:] < times[:-1])),
+            lambda i: f"time {times[i]} decreases from {times[i - 1]}",
+        ),
+        (id_misfits, lambda i: f"obj_id={obj_ids[i]} {_NOT_INT64}"),
+        (size_misfits, lambda i: f"size={sizes[i]} {_NOT_INT64}"),
+        (size_column <= 0, lambda i: f"size must be positive, got {sizes[i]}"),
+    )
+    # The first request that breaks a rule, and the first rule it breaks.
+    broken = [
+        (int(mask.argmax()), rank)
+        for rank, (mask, _) in enumerate(rules)
+        if mask is not None and mask.any()
+    ]
+    if broken:
+        index, rank = min(broken)
+        raise ValueError(f"{where(index)}: {rules[rank][1](index)}")
+    return times, id_column, size_column
 
 
 @dataclass(frozen=True)
 class PackedTrace:
     """Columnar ``(times, obj_ids, sizes)`` view of a request trace.
 
-    ``times`` is float64; ``obj_ids`` and ``sizes`` are int64, so ids and
-    sizes beyond 2**63 - 1 are rejected at packing time with a clear
-    error rather than wrapping silently.
+    ``times`` is float64; ``obj_ids`` and ``sizes`` are int64.  The
+    ``from_*`` constructors check their input with :func:`checked_columns`.
     """
 
     times: np.ndarray
@@ -77,10 +120,15 @@ class PackedTrace:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "PackedTrace":
-        times = np.asarray([req.time for req in trace], dtype=np.float64)
-        obj_ids = _int64_column([req.obj_id for req in trace], "obj_id")
-        sizes = _int64_column([req.size for req in trace], "size")
-        return cls(times, obj_ids, sizes, trace.name, dict(trace.metadata))
+        """Pack ``trace``, checking it against :func:`checked_columns`."""
+        # Each list becomes an array before the next is built: one list
+        # alive at a time sets packing's peak memory.
+        columns = checked_columns(
+            np.asarray([req.time for req in trace], dtype=np.float64),
+            np.asarray([req.obj_id for req in trace]),
+            np.asarray([req.size for req in trace]),
+        )
+        return cls(*columns, trace.name, dict(trace.metadata))
 
     @classmethod
     def from_arrays(
@@ -91,27 +139,10 @@ class PackedTrace:
         name: str = "trace",
         metadata: dict | None = None,
     ) -> "PackedTrace":
-        """Build from array-likes, validating what ``Request`` would: a
-        negative, NaN or infinite time, or a non-positive size, raises
-        ``ValueError`` naming the request index."""
-        times = np.asarray(times, dtype=np.float64)
-        obj_ids = _int64_column(obj_ids, "obj_id")
-        sizes = _int64_column(sizes, "size")
-        packed = cls(times, obj_ids, sizes, name, dict(metadata or {}))
-        # NaN fails both comparisons.
-        invalid = ~((times >= 0.0) & (times < np.inf))
-        if invalid.any():
-            index = int(invalid.argmax())
-            raise ValueError(
-                f"request {index}: time must be non-negative and finite, "
-                f"got {times[index]}"
-            )
-        if len(packed) and int(sizes.min()) <= 0:
-            index = int(np.argmin(sizes))
-            raise ValueError(
-                f"request {index}: size must be positive, got {sizes[index]}"
-            )
-        return packed
+        """Build from array-likes, checking them against
+        :func:`checked_columns`."""
+        columns = checked_columns(times, obj_ids, sizes)
+        return cls(*columns, name, dict(metadata or {}))
 
     def unpack(self) -> Trace:
         """Rebuild the reference ``Trace`` (requests carry their indices)."""

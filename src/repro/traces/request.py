@@ -22,8 +22,9 @@ class Request:
     Attributes
     ----------
     time:
-        Arrival timestamp in seconds (monotonically non-decreasing within
-        a trace).
+        Arrival timestamp in seconds.  A trace's times must not decrease;
+        :func:`repro.traces.packed.checked_columns` holds the whole trace
+        input contract.
     obj_id:
         Integer content identifier.
     size:
@@ -44,7 +45,7 @@ class Request:
         # infinite times, at the cost of a single ``time < 0``.
         if not 0.0 <= self.time < _INF:
             raise ValueError(
-                f"request time must be non-negative and finite, got {self.time}"
+                f"request time must be finite and non-negative, got {self.time}"
             )
 
 
@@ -92,7 +93,8 @@ class Trace:
         return self.requests[-1].time - self.requests[0].time
 
     def unique_contents(self) -> dict[int, int]:
-        """Map of content id -> size for every distinct content."""
+        """Map of content id -> size for every distinct content (its last
+        requested size: a content may change size)."""
         sizes: dict[int, int] = {}
         for req in self.requests:
             sizes[req.obj_id] = req.size
@@ -103,24 +105,3 @@ class Trace:
 
     def unique_bytes(self) -> int:
         return sum(self.unique_contents().values())
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` if timestamps regress or sizes are inconsistent.
-
-        A content that changes size mid-trace would silently corrupt the
-        byte accounting of every policy, so we check for it here.
-        """
-        sizes: dict[int, int] = {}
-        last_time = -1.0
-        for req in self.requests:
-            if req.time < last_time:
-                raise ValueError(
-                    f"timestamps regress at index {req.index}: "
-                    f"{req.time} < {last_time}"
-                )
-            last_time = req.time
-            known = sizes.setdefault(req.obj_id, req.size)
-            if known != req.size:
-                raise ValueError(
-                    f"content {req.obj_id} changes size {known} -> {req.size}"
-                )

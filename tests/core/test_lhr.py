@@ -12,7 +12,8 @@ from repro.core.hro import hro_bound
 from repro.core.lhr import EVICTION_RULES, DLhrCache, LhrCache, NLhrCache
 from repro.core.model_backends import BatchedBackend, ModelBackend
 from repro.policies import make_policy
-from repro.traces.request import Request
+from repro.traces.packed import PackedTrace
+from repro.traces.request import Request, Trace
 from repro.traces.synthetic import irm_trace
 from repro.util.indexed_set import IndexedSet
 
@@ -22,13 +23,16 @@ def req(obj_id, time, size=10):
 
 
 class _SequenceBackend(ModelBackend):
-    """Serves the given scores in order, one per scored request."""
+    """Serves the given scores in order, one per scored row."""
 
     def __init__(self, scores):
         self._scores = iter(scores)
 
     def score_one(self, model, row):
         return next(self._scores)
+
+    def score_block(self, model, rows):
+        return np.array([next(self._scores) for _ in rows])
 
 
 def scripted(cache, scores):
@@ -542,10 +546,9 @@ def _record_victims(cache):
 def replay_in_lockstep(trace, backend_factory, **settings_):
     """Replay ``trace`` through LhrCache and ReferenceLhrCache side by
     side.  After every request, assert the same verdict, the same
-    victims in order and the same state.  When one raises, the other
-    must raise at the same request: the same exception, except that an
-    all-NaN sample under the paper's rule names its cause instead of the
-    reference's "victim -1".  Returns the evictions."""
+    victims in order and the same state.  When one raises (a NaN score
+    fails closed), the other must raise the same exception at the same
+    request.  Returns the evictions."""
     caches = [LhrCache(**settings_), ReferenceLhrCache(**settings_)]
     for cache in caches:
         cache._backend = backend_factory()
@@ -560,11 +563,7 @@ def replay_in_lockstep(trace, backend_factory, **settings_):
             except Exception as exc:  # noqa: BLE001 — compared below
                 outcomes.append(exc)
         if isinstance(outcomes[1], Exception):
-            if str(outcomes[1]) == "lhr: victim -1 is not cached":
-                assert isinstance(outcomes[0], RuntimeError)
-                assert "NaN" in str(outcomes[0])
-            else:
-                assert repr(outcomes[0]) == repr(outcomes[1])
+            assert repr(outcomes[0]) == repr(outcomes[1])
             break
         assert outcomes[0] == outcomes[1]
         assert _state(columnar) == _state(reference)
@@ -590,22 +589,72 @@ class TestColumnarPickMatchesReference:
 
     @pytest.mark.parametrize("rule", EVICTION_RULES)
     def test_all_nan_sample(self, rule):
-        # Two cached contents whose hits stored NaN scores, then an
-        # admission that needs room.  The paper's rule finds no victim and
-        # fails loudly; min() under the ablation rules took the first.
-        trace = [req(1, 0.0), req(2, 0.0), req(1, 1.0), req(2, 1.0), req(3, 2.0)]
+        # Two hits that score NaN, then an admission that needs room.  A
+        # NaN never reaches L, so no sample can be all NaN: the first hit
+        # that scores NaN fails, under every rule and in both caches.
+        trace = Trace([req(1, 0.0), req(2, 0.0), req(1, 1.0), req(2, 1.0), req(3, 2.0)])
         scores = [1.0, 1.0, math.nan, math.nan, 1.0]
         caches = [scripted(cls(20, eviction_rule=rule), scores) for cls in (LhrCache, ReferenceLhrCache)]
-        for request in trace[:-1]:
-            for cache in caches:
+        for cache in caches:
+            for request in trace[:2]:
                 cache.request(request)
-        assert all(math.isnan(cache.admission_probability(1)) for cache in caches)
-        if rule == "lhr":
-            with pytest.raises(RuntimeError, match="NaN"):
-                caches[0].request(trace[-1])
-            with pytest.raises(RuntimeError, match="victim -1 is not cached"):
-                caches[1].request(trace[-1])
-        else:
-            for cache in caches:
-                cache.request(trace[-1])
-                assert set(cache.cached_objects()) == {2, 3}
+            with pytest.raises(ValueError, match="request 2: model score nan is not finite"):
+                cache.request(trace[2])
+            assert cache.hits == 0 and cache.admission_probability(1) == 1.0
+
+
+class _FirstBlockNanBackend(ModelBackend):
+    """Scores every row 0.9, except that the first block it scores holds
+    a NaN at ``position``."""
+
+    def __init__(self, position):
+        self.position = position
+        self.blocks = 0
+
+    def score_block(self, model, rows):
+        scores = np.full(rows.shape[0], 0.9)
+        if not self.blocks:
+            scores[self.position] = np.nan
+        self.blocks += 1
+        return scores
+
+
+class TestNonFiniteScores:
+    """A score that is not finite fails closed where a request consumes it."""
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_names_the_request_on_both_paths(self, score):
+        trace = Trace([req(1, 0.0), req(2, 0.0), req(1, 1.0), req(3, 2.0)])
+        error = f"lhr: request 2: model score {score} is not finite"
+        per_request = scripted(LhrCache(1000), [0.5, 0.5, score, 0.5])
+        for request in trace[:2]:
+            per_request.request(request)
+        with pytest.raises(ValueError, match=error):
+            per_request.request(trace[2])
+        span = scripted(LhrCache(1000), [0.5, 0.5, score, 0.5])
+        columns = PackedTrace.from_trace(trace).scalar_columns()
+        with pytest.raises(ValueError, match=error):
+            span.replay_span(*columns, 0, len(trace))
+        for cache in (per_request, span):
+            assert cache.hits + cache.misses == 2
+
+    def test_discarded_block_tail_is_not_checked(self):
+        # The first scored block runs to the end of the span; a window
+        # close cuts it short, so its last row is re-scored, never
+        # consumed.  A NaN in its first row is consumed at once.
+        packed = PackedTrace.from_trace(irm_trace(2000, 150, seed=4))
+        columns = packed.scalar_columns()
+
+        def replay(position):
+            cache = LhrCache(
+                20_000_000, window_multiple=1.0, min_window_requests=0, gbm_params=_STUMP
+            )
+            cache._backend = _FirstBlockNanBackend(position)
+            cache.replay_span(*columns, 0, len(packed))
+            return cache
+
+        cache = replay(-1)
+        assert cache.hits + cache.misses == len(packed)
+        assert cache._backend.blocks >= 2
+        with pytest.raises(ValueError, match="model score nan is not finite"):
+            replay(0)

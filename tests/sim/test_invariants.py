@@ -15,6 +15,8 @@ more after the replay:
 Each run draws its own heartbeat stride, so the edges land at different
 places in every (policy, trace) pair.  Both corpora hold all four
 invariants for every registered policy, so there is no exception list.
+So does a trace whose contents change size, which is why the trace input
+contract (``repro.traces.packed.checked_columns``) allows it.
 """
 
 from __future__ import annotations
@@ -89,3 +91,34 @@ def test_invariants_hold_at_every_chunk_edge(name, corpus_traces):
         simulate(policy, trace, heartbeat=check, heartbeat_interval=stride)
         assert check.edges == len(trace) // stride
         check(len(trace))
+
+
+@pytest.fixture(scope="module")
+def resized_trace() -> tuple[PackedTrace, int]:
+    """An IRM trace where one request in ten, on average, gives its
+    content a new size that later requests carry, and a capacity of a
+    tenth of its unique bytes."""
+    base = PackedTrace.from_trace(
+        irm_trace(6000, 600, alpha=0.9, mean_size=1 << 14, size_sigma=1.2, seed=24)
+    )
+    rng = np.random.default_rng(24)
+    resized = rng.random(len(base)) < 0.1
+    new_sizes = rng.integers(1, 1 << 16, len(base)).tolist()
+    current: dict[int, int] = {}
+    sizes = []
+    for i, (obj_id, size) in enumerate(zip(base.obj_ids.tolist(), base.sizes.tolist())):
+        if resized[i]:
+            current[obj_id] = new_sizes[i]
+        sizes.append(current.get(obj_id, size))
+    trace = PackedTrace.from_arrays(base.times, base.obj_ids, sizes, name="resized")
+    last_size = dict(zip(trace.obj_ids.tolist(), trace.sizes.tolist()))
+    return trace, sum(last_size.values()) // 10
+
+
+@pytest.mark.parametrize("name", known_policies())
+def test_invariants_hold_when_contents_change_size(name, resized_trace):
+    trace, capacity = resized_trace
+    policy = build_policy(name, capacity, **GOLDEN["policy_kwargs"].get(name, {}))
+    check = invariant_checker(policy, trace.sizes)
+    simulate(policy, trace, heartbeat=check, heartbeat_interval=97)
+    check(len(trace))

@@ -116,6 +116,21 @@ class TestSubcommands:
 
         assert strip(serial_out) == strip(parallel_out)
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--policy", "lru", "--capacity", "1MB"],
+            ["compare", "--policies", "lru,gdsf", "--capacities", "1MB"],
+        ],
+        ids=["simulate", "compare"],
+    )
+    def test_bad_trace_file_is_an_error_line(self, tmp_path, command):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,obj_id,size\n1.0,1,10\n0.5,2,10\n")
+        with pytest.raises(SystemExit) as caught:
+            main([*command, "--trace", str(path)])
+        assert caught.value.code == f"error: {path}:3: time 0.5 decreases from 1.0"
+
     def test_compare_rejects_warmup_covering_trace(self, trace_file):
         with pytest.raises(SystemExit) as excinfo:
             main(["compare", "--trace", trace_file, "--policies", "lru,gdsf",

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.traces.packed import PackedTrace
 from repro.traces.production import (
     GB,
     MB,
@@ -50,7 +51,9 @@ class TestGeneration:
 
     def test_valid(self, trace_and_spec):
         trace, _ = trace_and_spec
-        trace.validate()
+        PackedTrace.from_trace(trace)
+        # One size per content.
+        assert len({(r.obj_id, r.size) for r in trace}) == len(trace.unique_contents())
 
     def test_request_and_content_counts_scale(self, trace_and_spec):
         trace, spec = trace_and_spec
@@ -140,5 +143,6 @@ class TestCustomSpec:
             caffeine_cache_gb=1,
         )
         trace = generate_production_trace(spec, scale=0.02, seed=0)
-        trace.validate()
+        PackedTrace.from_trace(trace)
+        assert len({(r.obj_id, r.size) for r in trace}) == len(trace.unique_contents())
         assert trace.name == "custom"

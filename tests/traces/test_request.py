@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.traces.packed import PackedTrace
 from repro.traces.request import Request, Trace
 
 
@@ -20,7 +21,7 @@ class TestRequest:
 
     @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_time(self, time):
-        with pytest.raises(ValueError, match="non-negative and finite"):
+        with pytest.raises(ValueError, match="finite and non-negative"):
             Request(time=time, obj_id=1, size=1)
 
     def test_immutability(self):
@@ -65,15 +66,22 @@ class TestTrace:
         assert trace.unique_bytes() == 30
         assert trace.total_bytes() == 40
 
+    # A trace is validated by the contract ``PackedTrace.from_trace`` checks.
     def test_validate_accepts_well_formed(self, tiny_trace):
-        tiny_trace.validate()
+        packed = PackedTrace.from_trace(tiny_trace)
+        assert packed.unpack().requests == tiny_trace.requests
 
     def test_validate_rejects_time_regression(self):
         trace = Trace.from_tuples([(2.0, 1, 10), (1.0, 2, 10)])
-        with pytest.raises(ValueError, match="regress"):
-            trace.validate()
+        with pytest.raises(ValueError, match="request 1: time 1.0 decreases from 2.0"):
+            PackedTrace.from_trace(trace)
 
     def test_validate_rejects_size_change(self):
-        trace = Trace.from_tuples([(0.0, 1, 10), (1.0, 1, 20)])
-        with pytest.raises(ValueError, match="size"):
-            trace.validate()
+        # A content may change size (every policy conserves its counters
+        # when one does, tests/sim/test_invariants.py), but only to a size
+        # the contract accepts.
+        resized = Trace.from_tuples([(0.0, 1, 10), (1.0, 1, 20)])
+        assert PackedTrace.from_trace(resized).sizes.tolist() == [10, 20]
+        fractional = Trace([Request(0.0, 1, 10), Request(1.0, 1, 2.5)])
+        with pytest.raises(ValueError, match="request 1: size=2.5 is not an integer"):
+            PackedTrace.from_trace(fractional)

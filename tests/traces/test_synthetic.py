@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.traces.packed import PackedTrace
 from repro.traces.synthetic import (
     MarkovModulatedGenerator,
     irm_trace,
@@ -19,7 +20,8 @@ class TestIrmTrace:
         trace = irm_trace(1000, 50, seed=0)
         assert len(trace) == 1000
         assert len(trace.unique_contents()) <= 50
-        trace.validate()
+        PackedTrace.from_trace(trace)
+        assert len({(r.obj_id, r.size) for r in trace}) == len(trace.unique_contents())
 
     def test_equal_size_mode(self):
         trace = irm_trace(500, 20, equal_size=64, seed=0)
@@ -108,7 +110,7 @@ class TestMarkovModulated:
         )
         trace = generator.generate(300, sizes)
         assert len(trace) == 300
-        trace.validate()
+        PackedTrace.from_trace(trace)
         for req in trace:
             assert req.size == sizes[req.obj_id]
 

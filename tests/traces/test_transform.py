@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.traces.packed import PackedTrace
 from repro.traces.request import Trace
 from repro.traces.synthetic import irm_trace
 from repro.traces.transform import (
@@ -101,7 +102,8 @@ class TestInterleave:
     def test_time_ordered(self, base_trace):
         other = irm_trace(500, 30, mean_size=1 << 10, seed=32, name="other")
         merged = interleave(base_trace, other)
-        merged.validate()
+        PackedTrace.from_trace(merged)
+        assert len({(r.obj_id, r.size) for r in merged}) == len(merged.unique_contents())
         assert len(merged) == 1500
 
     def test_id_spaces_disjoint(self, base_trace):
@@ -144,7 +146,8 @@ class TestDiurnal:
 
         warped = diurnal(base_trace, period_seconds=base_trace.duration / 3,
                          amplitude=0.8)
-        warped.validate()
+        PackedTrace.from_trace(warped)
+        assert len({(r.obj_id, r.size) for r in warped}) == len(warped.unique_contents())
         assert [r.obj_id for r in warped] == [r.obj_id for r in base_trace]
         assert warped.duration == pytest.approx(base_trace.duration, rel=1e-3)
 

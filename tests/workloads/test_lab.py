@@ -144,7 +144,7 @@ class TestWorkloadCli:
         ]) == 0
         trace = load_trace_csv(out_path)
         assert len(trace) == 300
-        trace.validate()
+        assert len({(r.obj_id, r.size) for r in trace}) == len(trace.unique_contents())
 
     def test_generate_with_param_override(self, tmp_path):
         out_path = tmp_path / "churn.csv"
