@@ -26,8 +26,8 @@ No sink changes which code runs.  The engine records at chunk edges
 and learner rows at window closes.  The native policy span kernels and
 the per-request walker share both, so only a decision tracer pins the
 walker, and only over the four inlined classic kernels
-(``CachePolicy._pin_span_kernel``); LHR's kernel walks ``request``, so
-it runs traced or not.
+(``CachePolicy._pin_span_kernel``); LHR's and (W-)TinyLFU's kernels
+walk ``request``, so they run traced or not.
 
 The module-level :data:`NULL_OBS` singleton is the disabled handle:
 ``enabled`` is False and ``emit`` does nothing, so code holding it pays

@@ -138,7 +138,8 @@ class CachePolicy(ABC):
         write-back is observationally identical.  ``_pin_span_kernel``
         decides which of the two runs.  LHR's override block-scores the
         span and then walks ``request`` like this walker, so it needs no
-        pin.
+        pin; (W-)TinyLFU's hashes the span's keys once and walks it the
+        same way.
         """
         request = self.request
         for i in range(begin, end):

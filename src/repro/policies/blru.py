@@ -13,7 +13,7 @@ from collections import OrderedDict
 
 from repro.policies.base import CachePolicy
 from repro.traces.request import Request
-from repro.util.bloom import BloomFilter
+from repro.util.bloom import HASH_BLOCK, BloomFilter
 
 
 class BloomLruCache(CachePolicy):
@@ -70,7 +70,9 @@ class BloomLruCache(CachePolicy):
         # inlined, the hot names in locals and counters written back once
         # at the span edge.  The rotation check re-reads the live filter
         # each iteration, so the two-generation hand-off behaves exactly as
-        # in ``request``.
+        # in ``request``.  Keys are hashed a block at a time; both
+        # generations share one geometry, so a block's positions stay valid
+        # across a rotation inside it.
         rotation_items = self._rotation_items
         fpr = self._fpr
         sizes = self._sizes
@@ -81,39 +83,43 @@ class BloomLruCache(CachePolicy):
         capacity = self.capacity
         used = self._used
         current = self._current
+        previous = self._previous
         hits = hit_bytes = misses = miss_bytes = evictions = admissions = 0
-        for i in range(begin, end):
-            obj_id = obj_ids[i]
-            size = sizes_col[i]
-            if len(current) >= rotation_items:
-                self._previous = current
-                current = BloomFilter(rotation_items, fpr)
-                self._current = current
-            if obj_id in sizes:
-                hits += 1
-                hit_bytes += size
-                move_to_end(obj_id)
-                current.add(obj_id)
-            else:
-                misses += 1
-                miss_bytes += size
-                if size <= capacity:
-                    # The admission gate's bloom insertion only happens for
-                    # objects that could fit — base request() short-circuits
-                    # ``_should_admit`` on oversized objects.
-                    seen = obj_id in current or (
-                        self._previous is not None and obj_id in self._previous
-                    )
-                    current.add(obj_id)
-                    if seen:
-                        used += size
-                        while used > capacity:
-                            victim, _ = popitem(last=False)
-                            used -= pop_size(victim)
-                            evictions += 1
-                        sizes[obj_id] = size
-                        admissions += 1
-                        order[obj_id] = None
+        for block in range(begin, end, HASH_BLOCK):
+            stop = min(block + HASH_BLOCK, end)
+            ids = obj_ids[block:stop]
+            for obj_id, size, at in zip(
+                ids, sizes_col[block:stop], current.positions(ids)
+            ):
+                if len(current) >= rotation_items:
+                    self._previous = previous = current
+                    current = BloomFilter(rotation_items, fpr)
+                    self._current = current
+                if obj_id in sizes:
+                    hits += 1
+                    hit_bytes += size
+                    move_to_end(obj_id)
+                    current.add_at(at)
+                else:
+                    misses += 1
+                    miss_bytes += size
+                    if size <= capacity:
+                        # The admission gate's bloom insertion only happens
+                        # for objects that could fit — base request()
+                        # short-circuits ``_should_admit`` on oversized ones.
+                        seen = current.contains_at(at) or (
+                            previous is not None and previous.contains_at(at)
+                        )
+                        current.add_at(at)
+                        if seen:
+                            used += size
+                            while used > capacity:
+                                victim, _ = popitem(last=False)
+                                used -= pop_size(victim)
+                                evictions += 1
+                            sizes[obj_id] = size
+                            admissions += 1
+                            order[obj_id] = None
         self._used = used
         self.hits += hits
         self.hit_bytes += hit_bytes

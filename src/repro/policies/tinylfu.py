@@ -14,10 +14,71 @@ from collections import OrderedDict
 
 from repro.policies.base import CachePolicy
 from repro.traces.request import Request
+from repro.util.bloom import HASH_BLOCK
 from repro.util.sketch import CountMinSketch
 
 
-class TinyLfuCache(CachePolicy):
+class _SketchAdmission(CachePolicy):
+    """The count-min frequency oracle (W-)TinyLFU admit through.
+
+    Every request increments its content's counters.  Aging is driven
+    here, not by the sketch: Caffeine halves the sketch every ~10x as
+    many increments as the cache holds entries, which keeps the frequency
+    window proportional to cache churn regardless of object sizes.
+    """
+
+    def __init__(self, capacity: int, sketch_width: int, sample_multiplier: int):
+        super().__init__(capacity)
+        self._sketch = CountMinSketch(width=sketch_width, depth=4, sample_size=0)
+        self._sample_multiplier = sample_multiplier
+        self._increments = 0
+        #: The current request's sketch cells while ``replay_span`` walks
+        #: a span; None outside one.
+        self._cells: list[int] | None = None
+
+    def replay_span(self, obj_ids, sizes, times, begin: int, end: int) -> None:
+        """Hash the span's keys a block at a time, then walk ``request``.
+
+        Each request's ``_on_access`` and admission duel take the cells
+        hashed for it instead of hashing its key again.  Like LHR's
+        kernel this walks whatever ``request`` and hooks the instance
+        carries, so it needs no pin: decision tracers and subclass hooks
+        see every request.
+        """
+        request = self.request
+        hash_cells = self._sketch.cells
+        try:
+            for block in range(begin, end, HASH_BLOCK):
+                stop = min(block + HASH_BLOCK, end)
+                for i, cells in enumerate(hash_cells(obj_ids[block:stop]), block):
+                    self._cells = cells
+                    request(Request(times[i], obj_ids[i], sizes[i], i))
+        finally:
+            self._cells = None
+
+    def _frequency(self, req: Request) -> int:
+        """The sketch's estimate for ``req``, the request in flight."""
+        cells = self._cells
+        if cells is None:
+            return self._sketch.estimate(req.obj_id)
+        return self._sketch.estimate_at(cells)
+
+    def _on_access(self, req: Request) -> None:
+        cells = self._cells
+        if cells is None:
+            self._sketch.add(req.obj_id)
+        else:
+            self._sketch.add_at(cells)
+        self._increments += 1
+        if self._increments >= max(1024, self._sample_multiplier * max(self.num_objects, 1)):
+            self._sketch.age()
+            self._increments = 0
+
+    def metadata_bytes(self) -> int:
+        return super().metadata_bytes() + self._sketch.metadata_bytes()
+
+
+class TinyLfuCache(_SketchAdmission):
     """Plain TinyLFU: LRU eviction with frequency-duel admission."""
 
     name = "tinylfu"
@@ -28,22 +89,8 @@ class TinyLfuCache(CachePolicy):
         sketch_width: int = 16_384,
         sample_multiplier: int = 10,
     ):
-        super().__init__(capacity)
+        super().__init__(capacity, sketch_width, sample_multiplier)
         self._order: OrderedDict[int, None] = OrderedDict()
-        # Aging is driven externally: Caffeine halves the sketch every
-        # ~10x as many increments as the cache holds entries, which keeps
-        # the frequency window proportional to cache churn regardless of
-        # object sizes.
-        self._sketch = CountMinSketch(width=sketch_width, depth=4, sample_size=0)
-        self._sample_multiplier = sample_multiplier
-        self._increments = 0
-
-    def _on_access(self, req: Request) -> None:
-        self._sketch.add(req.obj_id)
-        self._increments += 1
-        if self._increments >= max(1024, self._sample_multiplier * max(self.num_objects, 1)):
-            self._sketch._age()
-            self._increments = 0
 
     def _on_hit(self, req: Request) -> None:
         self._order.move_to_end(req.obj_id)
@@ -52,7 +99,7 @@ class TinyLfuCache(CachePolicy):
         if self._used + req.size <= self.capacity or not self._order:
             return True
         victim = next(iter(self._order))
-        return self._sketch.estimate(req.obj_id) > self._sketch.estimate(victim)
+        return self._frequency(req) > self._sketch.estimate(victim)
 
     def _on_admit(self, req: Request) -> None:
         self._order[req.obj_id] = None
@@ -62,9 +109,6 @@ class TinyLfuCache(CachePolicy):
 
     def _select_victim(self, incoming: Request) -> int:
         return next(iter(self._order))
-
-    def metadata_bytes(self) -> int:
-        return super().metadata_bytes() + self._sketch.metadata_bytes()
 
 
 class _Segment:
@@ -96,7 +140,7 @@ class _Segment:
         return next(iter(self._items))
 
 
-class WTinyLfuCache(CachePolicy):
+class WTinyLfuCache(_SketchAdmission):
     """W-TinyLFU: admission window + TinyLFU-filtered segmented-LRU main.
 
     Caffeine's default window is 1% of capacity, which is tuned for
@@ -118,7 +162,7 @@ class WTinyLfuCache(CachePolicy):
         sketch_width: int = 16_384,
         sample_multiplier: int = 10,
     ):
-        super().__init__(capacity)
+        super().__init__(capacity, sketch_width, sample_multiplier)
         if not 0.0 < window_fraction < 1.0:
             raise ValueError("window_fraction must lie in (0, 1)")
         if not 0.0 < protected_fraction < 1.0:
@@ -129,16 +173,6 @@ class WTinyLfuCache(CachePolicy):
         self._window = _Segment()
         self._probation = _Segment()
         self._protected = _Segment()
-        self._sketch = CountMinSketch(width=sketch_width, depth=4, sample_size=0)
-        self._sample_multiplier = sample_multiplier
-        self._increments = 0
-
-    def _on_access(self, req: Request) -> None:
-        self._sketch.add(req.obj_id)
-        self._increments += 1
-        if self._increments >= max(1024, self._sample_multiplier * max(self.num_objects, 1)):
-            self._sketch._age()
-            self._increments = 0
 
     def _on_hit(self, req: Request) -> None:
         if req.obj_id in self._window:
@@ -164,7 +198,7 @@ class WTinyLfuCache(CachePolicy):
         if self._used + req.size <= self.capacity:
             return True
         victim = self._select_victim(req)
-        return self._sketch.estimate(req.obj_id) >= self._sketch.estimate(victim)
+        return self._frequency(req) >= self._sketch.estimate(victim)
 
     def _on_admit(self, req: Request) -> None:
         self._window.add(req.obj_id, req.size)
@@ -187,6 +221,3 @@ class WTinyLfuCache(CachePolicy):
         if len(self._protected):
             return self._protected.lru()
         return self._window.lru()
-
-    def metadata_bytes(self) -> int:
-        return super().metadata_bytes() + self._sketch.metadata_bytes()

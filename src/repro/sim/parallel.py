@@ -63,7 +63,7 @@ from repro.obs.spans import SpanRecorder
 from repro.obs.trace import TraceConfig
 from repro.sim.engine import check_replay_args, simulate
 from repro.sim.metrics import SimulationResult, WindowMetrics, grid_order
-from repro.util.bloom import _mix64
+from repro.util.bloom import _mix64, mix64_column
 from repro.traces.packed import (
     PackedTrace,
     SharedTraceBuffers,
@@ -862,16 +862,11 @@ def shard_of(obj_id: int, shards: int) -> int:
 def shard_assignments(obj_ids, shards: int) -> np.ndarray:
     """Vectorized :func:`shard_of` over an id column.
 
-    Bit-identical to the scalar form: uint64 arithmetic wraps exactly
-    like the masked Python-int mixer (pinned by the parallel test
+    Bit-identical to the scalar form (``mix64_column`` wraps exactly
+    like the masked Python-int mixer; pinned by the sharded test
     suite), so driver and workers always agree on the partition.
     """
-    value = np.asarray(obj_ids).astype(np.uint64)
-    value = value + np.uint64(0x9E3779B97F4A7C15)
-    value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    value = value ^ (value >> np.uint64(31))
-    return (value % np.uint64(shards)).astype(np.int64)
+    return (mix64_column(obj_ids) % np.uint64(shards)).astype(np.int64)
 
 
 def shard_capacities(capacity: int, shards: int) -> list[int]:

@@ -27,11 +27,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.traces.request import Request, Trace
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-_NOT_INT64 = "is not an integer that fits int64"
+from repro.traces.request import _NOT_INT64, Request, Trace, _fits_int64
 
 
 def _int64_column(values) -> tuple[np.ndarray, np.ndarray | None]:
@@ -42,7 +38,7 @@ def _int64_column(values) -> tuple[np.ndarray, np.ndarray | None]:
         return raw.astype(np.int64, copy=False), None
     # Floats, unsigned or huge Python ints: compare exactly (NaN never fits).
     misfits = np.array(
-        [not (_INT64_MIN <= v <= _INT64_MAX and v == int(v)) for v in raw.tolist()],
+        [not _fits_int64(v) for v in raw.tolist()],
         dtype=bool,
     )
     return np.where(misfits, 1, raw).astype(np.int64), misfits

@@ -13,6 +13,15 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 _INF = math.inf
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+_NOT_INT64 = "is not an integer that fits int64"
+
+
+def _fits_int64(value) -> bool:
+    """The trace contract's id and size rule: an integer that fits int64
+    (NaN and infinities compare False, so they never fit)."""
+    return _INT64_MIN <= value <= _INT64_MAX and value == int(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,11 +87,19 @@ class Trace:
     def from_tuples(
         cls, rows: Iterable[tuple[float, int, int]], name: str = "trace"
     ) -> "Trace":
-        """Build a trace from ``(time, obj_id, size)`` tuples."""
-        requests = [
-            Request(time=float(t), obj_id=int(o), size=int(s), index=i)
-            for i, (t, o, s) in enumerate(rows)
-        ]
+        """Build a trace from ``(time, obj_id, size)`` tuples.
+
+        An id or size that is not an integer fitting int64 raises
+        ``ValueError`` in the trace contract's words instead of being
+        truncated; the time order is checked where the trace is packed
+        (:func:`repro.traces.packed.checked_columns`).
+        """
+        requests = []
+        for i, (t, o, s) in enumerate(rows):
+            for field_name, value in (("obj_id", o), ("size", s)):
+                if not _fits_int64(value):
+                    raise ValueError(f"request {i}: {field_name}={value} {_NOT_INT64}")
+            requests.append(Request(time=float(t), obj_id=int(o), size=int(s), index=i))
         return cls(requests, name=name)
 
     @property

@@ -5,13 +5,19 @@ halves all counters every ``sample_size`` increments ("reset" aging), so
 the estimate tracks a sliding window of roughly the last ``sample_size``
 requests.  This is the frequency oracle behind the Caffeine baseline in
 Appendix A.3 of the paper.
+
+A key's counters are ``depth`` cells of the flat table, ``row * width +
+col``.  ``cells`` hashes a column of keys at once, bit-identically to the
+scalar ``_cells``, and ``add_at``/``estimate_at`` take one key's cells, so
+a replay hashes each chunk once; ``add(key)`` and ``estimate(key)`` run
+the same code on the scalar hash.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.bloom import _mix64
+from repro.util.bloom import _mix64, mix64_column
 
 _MASK64 = (1 << 64) - 1
 
@@ -47,10 +53,21 @@ class CountMinSketch:
         self._depth = depth
         self._mask = self._width - 1
         self._table = np.zeros((depth, self._width), dtype=np.uint32)
+        # The flat table as Python ints, without boxing a NumPy scalar.
+        self._counters = memoryview(self._table).cast("B").cast("I")
         self._sample_size = sample_size
         self._max_count = max_count
         self._increments = 0
         self._seeds = [_mix64(0xC0FFEE + 31 * row) for row in range(depth)]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_counters"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._counters = memoryview(self._table).cast("B").cast("I")
 
     @property
     def width(self) -> int:
@@ -60,33 +77,53 @@ class CountMinSketch:
     def depth(self) -> int:
         return self._depth
 
-    def _indices(self, key: int) -> list[int]:
+    def _cells(self, key: int) -> list[int]:
+        width = self._width
+        mask = self._mask
         return [
-            _mix64((key ^ seed) & _MASK64) & self._mask for seed in self._seeds
+            row * width + (_mix64((key ^ seed) & _MASK64) & mask)
+            for row, seed in enumerate(self._seeds)
         ]
+
+    def cells(self, keys) -> list[list[int]]:
+        """``_cells`` of every key of an int64 column, hashed at once."""
+        seeds = np.array(self._seeds, dtype=np.uint64)
+        keys = np.asarray(keys).astype(np.uint64)
+        cols = mix64_column(keys[:, None] ^ seeds) & np.uint64(self._mask)
+        rows = np.arange(self._depth, dtype=np.uint64) * np.uint64(self._width)
+        return (cols + rows).tolist()
 
     def add(self, key: int, count: int = 1) -> None:
         """Increment ``key`` with conservative update and TinyLFU aging."""
+        self.add_at(self._cells(key), count)
+
+    def add_at(self, cells, count: int = 1) -> None:
+        """``add`` for the key whose counters are ``cells``."""
         if count <= 0:
             raise ValueError("count must be positive")
-        idx = self._indices(key)
-        current = min(int(self._table[row, col]) for row, col in enumerate(idx))
-        target = min(current + count, self._max_count)
-        for row, col in enumerate(idx):
-            if self._table[row, col] < target:
-                self._table[row, col] = target
+        counters = self._counters
+        # One cell per row, so no write below changes a value read here.
+        values = [counters[cell] for cell in cells]
+        target = min(min(values) + count, self._max_count)
+        for cell, value in zip(cells, values):
+            if value < target:
+                counters[cell] = target
         self._increments += count
         if self._sample_size and self._increments >= self._sample_size:
-            self._age()
+            self.age()
 
-    def _age(self) -> None:
+    def age(self) -> None:
+        """Halve every counter (TinyLFU's reset)."""
         self._table >>= 1
         self._increments //= 2
 
     def estimate(self, key: int) -> int:
-        return min(
-            int(self._table[row, col]) for row, col in enumerate(self._indices(key))
-        )
+        return self.estimate_at(self._cells(key))
+
+    def estimate_at(self, cells) -> int:
+        """``estimate`` for the key whose counters are ``cells``."""
+        counters = self._counters
+        return min([counters[cell] for cell in cells])
 
     def clear(self) -> None:
         self._table.fill(0)

@@ -16,6 +16,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.lhr import LhrCache
@@ -24,6 +25,7 @@ from repro.obs import NULL_OBS, MemoryRecorder, MetricsRegistry, Observation
 from repro.obs.trace import TraceConfig
 from repro.policies.base import CachePolicy
 from repro.policies.classic import LruCache
+from repro.policies.tinylfu import WTinyLfuCache
 from repro.sim import known_policies, run_comparison, simulate
 from repro.sim.engine import replay_into
 from repro.sim.metrics import SimulationResult, WindowMetrics
@@ -254,8 +256,9 @@ def test_warmup_beyond_trace_measures_nothing(fixture_trace, fixture_capacity):
 #: walker, an observation never.
 INLINED_KERNEL_POLICIES = ["lru", "lru-2", "lru-4", "lfu-da", "b-lru"]
 #: Every policy shipping a native ``replay_span``: the inlined kernels
-#: plus LHR's, which block-scores a span and walks ``request``.
-NATIVE_KERNEL_POLICIES = INLINED_KERNEL_POLICIES + ["lhr"]
+#: plus LHR's, which block-scores a span and walks ``request``, and
+#: (W-)TinyLFU's, which hashes a span's keys and walks ``request``.
+NATIVE_KERNEL_POLICIES = INLINED_KERNEL_POLICIES + ["lhr", "tinylfu", "w-tinylfu"]
 #: LHR windows short enough to retrain several times on the fixture.
 LHR_WINDOWS = {"min_window_requests": 100, "window_multiple": 1.0}
 
@@ -266,8 +269,9 @@ class TestInstrumentationForcesReferencePath:
 
     @pytest.mark.parametrize("name", NATIVE_KERNEL_POLICIES)
     def test_tracer_pins_the_shim(self, name, fixture_capacity):
-        """A tracer pins an inlined kernel to the base walker; LHR's
-        kernel walks ``request``, so a tracer leaves it engaged."""
+        """A tracer pins an inlined kernel to the base walker; LHR's and
+        the sketch kernels walk ``request``, so a tracer leaves them
+        engaged."""
         policy = _build(name, fixture_capacity)
         assert "replay_span" not in policy.__dict__  # native kernel active
         policy.attach_tracer(TraceConfig().build())
@@ -316,7 +320,7 @@ class TestInstrumentationForcesReferencePath:
 
     @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
     @pytest.mark.parametrize("packed", [False, True], ids=["trace", "packed"])
-    @pytest.mark.parametrize("name", ["lru", "lru-2", "gdsf", "lhr"])
+    @pytest.mark.parametrize("name", ["lru", "lru-2", "gdsf", "lhr", "w-tinylfu"])
     def test_instrumented_run_matches_request_oracle(
         self, name, packed, traced, fixture_trace, fixture_capacity, lhr_spans
     ):
@@ -502,6 +506,64 @@ class TestSubclassSafety:
             pytest.fail("no content scores apart from the stale request")
         policy.request(Request(now, req.obj_id, req.size))
         assert policy._current_p == fresh_p
+
+    @pytest.mark.parametrize("name", ["tinylfu", "w-tinylfu"])
+    def test_sketch_kernel_runs_foreign_subclass_hooks(
+        self, name, fixture_trace, fixture_capacity
+    ):
+        """The sketch-admission kernel walks ``request`` like LHR's, so a
+        foreign subclass keeps it and its hook override fires on every
+        hit."""
+        base_cls = type(_build(name, fixture_capacity))
+        hits = []
+
+        def _on_hit(self, req):
+            hits.append(req.obj_id)
+            base_cls._on_hit(self, req)
+
+        spy_cls = type(f"Spy{base_cls.__name__}", (base_cls,), {"_on_hit": _on_hit})
+        policy = spy_cls(fixture_capacity)
+        assert "replay_span" not in policy.__dict__
+        packed = PackedTrace.from_trace(fixture_trace)
+        result = simulate(policy, packed)
+        assert len(hits) == result.hits > 0
+        native = simulate(base_cls(fixture_capacity), packed)
+        assert result.counters() == native.counters()
+
+    def test_w_tinylfu_request_after_a_hook_raised_mid_span_hashes_afresh(
+        self, fixture_trace, fixture_capacity
+    ):
+        """A hook raising inside the sketch-admission kernel leaves no
+        hashed cells behind: the next direct ``request`` counts its own
+        key, not the key of the request that raised."""
+        policy = WTinyLfuCache(fixture_capacity)
+        cols = PackedTrace.from_trace(fixture_trace).scalar_columns()
+        half = len(fixture_trace) // 2
+        policy.replay_span(*cols, 0, half)
+        raised = []
+
+        def boom(req):
+            raised.append((req.obj_id, policy._cells))
+            raise RuntimeError("hook failed")
+
+        policy._on_hit = boom
+        with pytest.raises(RuntimeError, match="hook failed"):
+            policy.replay_span(*cols, half, len(fixture_trace))
+        del policy._on_hit
+        assert policy._cells is None
+        [(stale_id, stale_cells)] = raised
+        sketch = policy._sketch
+        assert stale_cells == sketch._cells(stale_id)
+        req = next(
+            req
+            for req in fixture_trace
+            if set(sketch._cells(req.obj_id)).isdisjoint(stale_cells)
+            and sketch.estimate(req.obj_id) < 15
+        )
+        before = sketch._table.ravel().copy()
+        policy.request(Request(fixture_trace[-1].time, req.obj_id, req.size))
+        moved = np.flatnonzero(sketch._table.ravel() != before).tolist()
+        assert moved and set(moved) <= set(sketch._cells(req.obj_id))
 
     def test_request_override_survives_the_fast_path(self, fixture_trace):
         calls = []

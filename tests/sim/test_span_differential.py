@@ -7,9 +7,13 @@ replays each generated trace twice — once per request through
 ``request``, once through ``replay_span`` over random chunk boundaries —
 and both copies must end in the same state.  The generated cases reach
 the edges fixtures miss: ids from a small pool (repeats inside one
-chunk), sizes equal to the capacity and one byte over it, chunks of one
-request and one chunk over the whole trace, and, for the LHR family,
-windows short enough to close and retrain the model inside a chunk.
+chunk), ids spread over the whole int64 range in about one trace in
+four (negative, and at least 2**62, where hashing a column of keys could
+part from hashing one key), sizes equal to the capacity and one byte
+over it, chunks of one request and one chunk over the whole trace, and,
+for the LHR family, windows short enough to close and retrain the model
+inside a chunk.  B-LRU rotates its filter after four distinct keys, which
+happens inside a chunk in about three traces in ten.
 
 One level up, the engine's bookkeeping (windows, warmup, metadata
 probes, heartbeats and replayed ``positions``) is checked the same way:
@@ -46,7 +50,15 @@ LHR_KWARGS = {
 KWARGS = {
     **POLICY_KWARGS,
     **{name: LHR_KWARGS for name in ("lhr", "d-lhr", "n-lhr")},
+    "b-lru": {"rotation_items": 4},
 }
+
+#: Ids drawn over the whole int64 range, weighted toward its edges.
+WIDE_IDS = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=2**62, max_value=2**63 - 1),
+    st.integers(min_value=-(2**63), max_value=-1),
+)
 
 
 @st.composite
@@ -64,17 +76,24 @@ def cases(draw):
             max_size=pool,
         )
     )
-    edge_ids = draw(st.sets(st.integers(min_value=0, max_value=pool - 1), max_size=2))
-    for obj_id in edge_ids:
-        size_of[obj_id] = draw(st.sampled_from([capacity, capacity + 1]))
+    edge_slots = draw(st.sets(st.integers(min_value=0, max_value=pool - 1), max_size=2))
+    for slot in edge_slots:
+        size_of[slot] = draw(st.sampled_from([capacity, capacity + 1]))
     # An explicit length: hypothesis's own list lengths center on a few
     # elements, too short for evictions to compound.
     total = draw(st.integers(min_value=1, max_value=80))
-    obj_ids = draw(
+    slots = draw(
         st.lists(
             st.integers(min_value=0, max_value=pool - 1),
             min_size=total,
             max_size=total,
+        )
+    )
+    # The pool's ids: 0 .. pool - 1, or as many distinct wide ids.
+    ids_of = draw(
+        st.one_of(
+            st.just(list(range(pool))),
+            st.lists(WIDE_IDS, min_size=pool, max_size=pool, unique=True),
         )
     )
     gaps = draw(
@@ -91,7 +110,8 @@ def cases(draw):
     else:
         cuts = draw(st.sets(st.integers(min_value=1, max_value=total)))
         stops = sorted(cuts | {total})
-    sizes = [size_of[obj_id] for obj_id in obj_ids]
+    sizes = [size_of[slot] for slot in slots]
+    obj_ids = [ids_of[slot] for slot in slots]
     return capacity, (times, obj_ids, sizes), stops
 
 

@@ -35,6 +35,25 @@ class TestTrace:
         trace = Trace.from_tuples([(0.0, 1, 10), (1.0, 2, 20)])
         assert [req.index for req in trace] == [0, 1]
 
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ((1.0, 1.7, 1.5), "request 1: obj_id=1.7 is not an integer that fits int64"),
+            ((1.0, 3, 1.5), "request 1: size=1.5 is not an integer that fits int64"),
+            ((1.0, 2**63, 10), "request 1: obj_id=9223372036854775808 is not an integer"),
+            ((1.0, 3, float("nan")), "request 1: size=nan is not an integer"),
+        ],
+        ids=["fractional-id", "fractional-size", "id-above-int64", "nan-size"],
+    )
+    def test_from_tuples_rejects_what_it_would_truncate(self, row, match):
+        with pytest.raises(ValueError, match=match):
+            Trace.from_tuples([(0.0, 1, 10), row])
+
+    def test_from_tuples_keeps_integral_floats(self):
+        trace = Trace.from_tuples([(0.0, 2.0, 10.0), (1.0, -(2**63), 3)])
+        assert [(req.obj_id, req.size) for req in trace] == [(2, 10), (-(2**63), 3)]
+        assert PackedTrace.from_trace(trace).obj_ids.tolist() == [2, -(2**63)]
+
     def test_constructor_reindexes(self):
         reqs = [Request(0.0, 1, 10), Request(1.0, 2, 20)]
         trace = Trace(reqs)
