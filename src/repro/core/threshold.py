@@ -40,7 +40,7 @@ _INITIAL_SLOTS = 256
 _PARTITION_K = 16
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WindowSample:
     """One request as recorded for shadow replay."""
 
@@ -48,6 +48,23 @@ class WindowSample:
     size: int
     time: float
     probability: float
+
+    def __init__(
+        self, obj_id: int, size: int, time: float, probability: float
+    ) -> None:
+        # LHR records one per request; writing the slots through their
+        # descriptors skips the generated frozen ``__init__``'s
+        # ``object.__setattr__`` per field.
+        _set_obj_id(self, obj_id)
+        _set_size(self, size)
+        _set_time(self, time)
+        _set_probability(self, probability)
+
+
+_set_obj_id = WindowSample.obj_id.__set__
+_set_size = WindowSample.size.__set__
+_set_time = WindowSample.time.__set__
+_set_probability = WindowSample.probability.__set__
 
 
 def shadow_hit_ratio(

@@ -52,7 +52,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from repro.util.stats import PercentileTracker, RunningStats
+from repro.util.stats import PercentileTracker, RunningMean
 
 #: Miss taxonomy class names, in report order.
 MISS_COLD = "cold"
@@ -218,9 +218,9 @@ class DecisionTracer:
         #: measured.
         self.admitted_misses = 0
         self._residencies: dict[int, list] = {}
-        self.eviction_ages = RunningStats()
+        self.eviction_ages = RunningMean()
         self.eviction_age_percentiles = PercentileTracker(capacity=8192, seed=1)
-        self.hits_per_residency = RunningStats()
+        self.hits_per_residency = RunningMean()
         self.dead_on_arrival = 0
 
     # ------------------------------------------------------------------
@@ -294,7 +294,7 @@ class DecisionTracer:
         age = max(now - admitted_at, 0.0)
         self.eviction_ages.add(age)
         self.eviction_age_percentiles.add(age)
-        self.hits_per_residency.add(float(hits))
+        self.hits_per_residency.add(hits)
         if hits == 0:
             self.dead_on_arrival += 1
 

@@ -8,9 +8,14 @@ same engine loop, worker entry and pool.  Design constraints, in order:
 
 * **Determinism** — results are bit-identical to a serial sweep and come
   back in grid order (the order of the input specs) regardless of which
-  worker finishes first.  Policies are constructed *inside* the worker
-  from a picklable :class:`CellSpec`, so every cell starts from the same
-  seeded state it would have serially.
+  worker finishes first.  A pool *starts* the slowest policies' cells
+  first (:func:`start_order`, Graham's longest-processing-time rule), so
+  no long cell starts last while a worker idles; outcomes are filed by
+  cell index, so results, event streams, merged registries and learner
+  series never see the start order.  The in-process path
+  (``jobs <= 1``) runs cells in grid order.  Policies are constructed
+  *inside* the worker from a picklable :class:`CellSpec`, so every cell
+  starts from the same seeded state it would have serially.
 * **Cheap trace sharing** — the trace is columnarized into three NumPy
   arrays (:class:`~repro.traces.packed.PackedTrace`) and placed in one
   POSIX shared-memory segment; workers map it read-only through the pool
@@ -79,10 +84,28 @@ DEFAULT_HEARTBEAT_INTERVAL = 1000
 DEFAULT_STALL_TIMEOUT = 30.0
 
 
+#: Every registered policy name, slowest sweep cell first: the order in
+#: which a pool starts cells (:func:`start_order`).  Ranked by the sum of
+#: each policy's two cell ``runtime_seconds`` in one serial pass over the
+#: cdn-a stand-in (scale 0.05, seed 1000, 256 and 512 GB); the table and
+#: the command are in docs/PERFORMANCE.md.  ``tests/sim/test_parallel.py``
+#: checks that it names exactly ``known_policies()``, so a newly
+#: registered policy must be ranked here.
+SLOWEST_FIRST = (
+    "lrb", "n-lhr", "d-lhr", "lhr", "hyperbolic", "lhd", "lfo", "tinylfu",
+    "w-tinylfu", "hawkeye", "gdsf", "arc", "random", "s4lru", "adaptsize",
+    "gds", "lfu", "b-lru", "secondhit", "lru-4", "lru-2", "fifo",
+    "no-cache", "lfu-da", "lru",
+)
+
+_COST_RANK = {name: rank for rank, name in enumerate(SLOWEST_FIRST)}
+
+
 __all__ = [
     "CellFailure",
     "CellSpec",
     "PackedTrace",  # re-exported; the class lives in repro.traces.packed
+    "SLOWEST_FIRST",
     "SweepCellError",
     "merge_shard_results",
     "run_sharded",
@@ -90,6 +113,7 @@ __all__ = [
     "shard_assignments",
     "shard_capacities",
     "shard_of",
+    "start_order",
 ]
 
 
@@ -127,6 +151,17 @@ class CellSpec:
         from repro.sim.runner import build_policy
 
         return build_policy(self.policy, self.capacity, **dict(self.kwargs))
+
+
+def start_order(specs: Sequence[CellSpec]) -> list[CellSpec]:
+    """``specs`` in the order a pool starts them: the slowest policy first
+    (by :data:`SLOWEST_FIRST`), grid order (``CellSpec.index``) among
+    cells of one policy, shards included.  A policy not in the ranking
+    has no measured cost, so it is treated as the slowest: started first,
+    it cannot become the tail."""
+    return sorted(
+        specs, key=lambda spec: (_COST_RANK.get(spec.policy.lower(), -1), spec.index)
+    )
 
 
 @dataclass(frozen=True)
@@ -393,12 +428,15 @@ def run_sweep(
 ) -> list[SimulationResult]:
     """Run every cell of ``specs`` over ``trace``; return grid-ordered results.
 
-    ``jobs <= 1`` executes in-process (no pickling, no pool) with the
-    exact same failure-capture semantics; ``jobs > 1`` fans out over a
-    ``ProcessPoolExecutor``.  Either way the returned list is ordered by
-    ``CellSpec.index`` and each cell's outcome is independent of how the
-    others fared.  Window and warmup settings are checked once, before
-    any cell starts (:func:`~repro.sim.engine.check_replay_args`).
+    ``jobs <= 1`` executes in-process, in grid order (no pickling, no
+    pool), with the exact same failure-capture semantics; ``jobs > 1``
+    fans out over a ``ProcessPoolExecutor`` and starts the cells slowest
+    policy first (:func:`start_order`), so a long cell does not start
+    last and leave the other workers idle.  Either way the returned list
+    is ordered by ``CellSpec.index`` and each cell's outcome is
+    independent of how the others fared.  Window and warmup settings are
+    checked once, before any cell starts
+    (:func:`~repro.sim.engine.check_replay_args`).
 
     When ``obs`` is enabled the sweep emits ``sweep.cell_start`` per cell
     up front, runs every cell under a cell-local recorder/registry, then
@@ -692,8 +730,14 @@ def _run_pooled(
     boundary zero times via shared memory (or once per worker as pickled
     arrays where shared memory is unavailable).
 
+    Cells are submitted in :func:`start_order`, slowest policy first, so
+    the pool's FIFO queue hands the costliest cells out first; outcomes
+    are collected as they complete and ``run_sweep`` files them by cell
+    index.
+
     With ``record_spans``, the driver brackets the submit loop in a
-    ``sweep.scatter`` span and the result drain in ``sweep.gather`` —
+    ``sweep.scatter`` span (its ``order`` attribute lists the cell
+    indices in start order) and the result drain in ``sweep.gather`` —
     the driver-lane complements to the workers' per-cell spans.
 
     With a tracker, a ``Manager`` queue proxy ships to every worker via
@@ -743,12 +787,14 @@ def _run_pooled(
             initializer=initializer,
             initargs=initargs,
         ) as pool:
+            started = start_order(specs)
             scatter = (
                 obs.spans.begin(
                     "sweep.scatter",
                     cat="sweep",
                     cells=len(specs),
                     workers=workers,
+                    order=[spec.index for spec in started],
                 )
                 if record_spans
                 else None
@@ -759,7 +805,7 @@ def _run_pooled(
                     observe, trace_config, heartbeat_interval,
                     record_spans=record_spans, record_learner=record_learner,
                 ): spec
-                for spec in specs
+                for spec in started
             }
             if scatter is not None:
                 obs.spans.end(scatter)

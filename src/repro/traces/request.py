@@ -24,7 +24,7 @@ def _fits_int64(value) -> bool:
     return _INT64_MIN <= value <= _INT64_MAX and value == int(value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Request:
     """A single content request.
 
@@ -47,15 +47,30 @@ class Request:
     size: int
     index: int = -1
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"request size must be positive, got {self.size}")
+    def __init__(self, time: float, obj_id: int, size: int, index: int = -1) -> None:
+        # Written by hand because every replayed request builds one: the
+        # generated frozen ``__init__`` sets each field through
+        # ``object.__setattr__``, while this one validates first and then
+        # writes the slots through their descriptors.
+        if size <= 0:
+            raise ValueError(f"request size must be positive, got {size}")
         # One chain rejects negative, NaN (every comparison is False) and
         # infinite times, at the cost of a single ``time < 0``.
-        if not 0.0 <= self.time < _INF:
+        if not 0.0 <= time < _INF:
             raise ValueError(
-                f"request time must be finite and non-negative, got {self.time}"
+                f"request time must be finite and non-negative, got {time}"
             )
+        _set_time(self, time)
+        _set_obj_id(self, obj_id)
+        _set_size(self, size)
+        _set_index(self, index)
+
+
+# Slot descriptors' setters: they bypass the frozen ``__setattr__``.
+_set_time = Request.time.__set__
+_set_obj_id = Request.obj_id.__set__
+_set_size = Request.size.__set__
+_set_index = Request.index.__set__
 
 
 @dataclass

@@ -75,6 +75,25 @@ class RunningStats:
         self._max = max(self._max, other._max)
 
 
+class RunningMean:
+    """A streaming mean as a sum and a count: the cheapest accumulator
+    for a report that reads only ``count`` and ``mean``."""
+
+    __slots__ = ("count", "total")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+
 class PercentileTracker:
     """Percentile estimation over a bounded reservoir sample.
 

@@ -1,5 +1,8 @@
 """Auto-tuned threshold: candidate set, shadow replay, update guards."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,24 @@ from repro.obs import Observation
 
 def sample(obj_id, p, size=10, time=0.0):
     return WindowSample(obj_id=obj_id, size=size, time=time, probability=p)
+
+
+class TestWindowSample:
+    def test_fields_and_value_semantics(self):
+        recorded = sample(3, 0.25, size=40, time=1.5)
+        assert (recorded.obj_id, recorded.size, recorded.time) == (3, 40, 1.5)
+        assert recorded.probability == 0.25
+        assert recorded == WindowSample(3, 40, 1.5, 0.25)
+        assert hash(recorded) == hash(WindowSample(3, 40, 1.5, 0.25))
+        assert pickle.loads(pickle.dumps(recorded)) == recorded
+        assert dataclasses.replace(recorded, probability=0.5).probability == 0.5
+
+    @pytest.mark.parametrize("name", ["obj_id", "size", "time", "probability"])
+    def test_rejects_mutation(self, name):
+        recorded = sample(3, 0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(recorded, name, 1)
+        assert recorded == sample(3, 0.25)
 
 
 class TestConstruction:

@@ -12,7 +12,14 @@ import multiprocessing
 
 import pytest
 
-from repro.obs import MemoryRecorder, MetricsRegistry, Observation
+from repro.obs import (
+    LearnerTelemetry,
+    MemoryRecorder,
+    MetricsRegistry,
+    Observation,
+    SpanRecorder,
+)
+from repro.obs.learner import series_equal
 from repro.policies import POLICY_REGISTRY
 from repro.policies.classic import LruCache
 from repro.sim import (
@@ -23,6 +30,8 @@ from repro.sim import (
     run_comparison,
     run_sweep,
 )
+from repro.sim.parallel import SLOWEST_FIRST, start_order
+from repro.sim.runner import sweep_specs
 from repro.traces.packed import SharedTraceBuffers, live_segment_names
 from repro.traces.request import Request
 from repro.traces.synthetic import irm_trace
@@ -697,3 +706,111 @@ class TestSweepSpans:
         assert len(cells) == 2  # the failed cell still closed its span
         failed = next(s for s in cells if s.name.startswith(exploding_policy))
         assert failed.args.get("failed") is True
+
+
+class TestStartOrder:
+    """The pool starts cells slowest policy first and gathers them by
+    index, so the start order moves no result, event or series."""
+
+    #: sweep-cdn-a's policies, in grid order; their start order differs.
+    NAMES = ["lru", "gdsf", "w-tinylfu", "lhd", "lhr"]
+
+    #: LHR closes six windows per cell on the sweep trace at both sizes.
+    KWARGS = {"lhr": {"min_window_requests": 100, "window_multiple": 1.0}}
+
+    def test_costlier_cells_start_first(self):
+        specs = sweep_specs(self.NAMES, [1000, 2000])
+        assert [(s.policy, s.index) for s in start_order(specs)] == [
+            ("lhr", 4), ("lhr", 9),
+            ("lhd", 3), ("lhd", 8),
+            ("w-tinylfu", 2), ("w-tinylfu", 7),
+            ("gdsf", 1), ("gdsf", 6),
+            ("lru", 0), ("lru", 5),
+        ]
+
+    def test_equal_costs_keep_grid_order_whatever_the_list_order(self):
+        specs = sweep_specs(["lru", "lhr", "LRU"], [1000, 2000])
+        expected = [1, 4, 0, 2, 3, 5]
+        assert [s.index for s in start_order(specs)] == expected
+        assert [s.index for s in start_order(specs[::-1])] == expected
+
+    def test_shards_start_in_shard_order(self):
+        shards = [
+            CellSpec("lru", 100, index=s, shard=s, shards=3) for s in (2, 0, 1)
+        ]
+        lhd = CellSpec("lhd", 300, index=3)
+        assert [(s.policy, s.shard) for s in start_order([*shards, lhd])] == [
+            ("lhd", 0), ("lru", 0), ("lru", 1), ("lru", 2),
+        ]
+
+    def test_unranked_policy_starts_first(self, exploding_policy):
+        specs = sweep_specs(["lru", "lhr", exploding_policy], [1000])
+        assert [s.policy for s in start_order(specs)] == [
+            exploding_policy, "lhr", "lru",
+        ]
+
+    def test_ranking_names_every_registered_policy_once(self):
+        """A newly registered policy fails here until it is ranked."""
+        assert len(set(SLOWEST_FIRST)) == len(SLOWEST_FIRST)
+        assert sorted(SLOWEST_FIRST) == known_policies()
+
+    def _run(self, trace, capacity, parallel):
+        obs = Observation(
+            recorder=MemoryRecorder(),
+            registry=MetricsRegistry(),
+            learner=LearnerTelemetry(),
+        )
+        results = run_comparison(
+            trace,
+            self.NAMES,
+            [capacity, 2 * capacity],
+            window_requests=200,
+            policy_kwargs=self.KWARGS,
+            parallel=parallel,
+            obs=obs,
+        )
+        return results, obs
+
+    def test_reordered_pool_matches_serial(self, sweep_trace, sweep_capacity):
+        specs = sweep_specs(self.NAMES, [sweep_capacity, 2 * sweep_capacity])
+        assert start_order(specs) != specs  # the pool really reorders
+        serial, serial_obs = self._run(sweep_trace, sweep_capacity, 0)
+        pooled, pooled_obs = self._run(sweep_trace, sweep_capacity, 2)
+        assert [result_key(r) for r in pooled] == [result_key(r) for r in serial]
+        assert normalized_events(pooled_obs) == normalized_events(serial_obs)
+        serial_registry = serial_obs.registry.as_dict()
+        pooled_registry = pooled_obs.registry.as_dict()
+        assert set(pooled_registry) == set(serial_registry)
+        for name, value in serial_registry.items():
+            if name.endswith("_seconds"):
+                assert pooled_registry[name]["count"] == value["count"], name
+            else:
+                assert pooled_registry[name] == value, name
+        serial_cells = serial_obs.learner.cells()
+        pooled_cells = pooled_obs.learner.cells()
+        assert [i for i, _ in pooled_cells] == [i for i, _ in serial_cells]
+        assert [s.windows for _, s in serial_cells if s.policy == "lhr"] == [6, 6]
+        for (_, left), (_, right) in zip(serial_cells, pooled_cells):
+            assert (left.policy, left.capacity) == (right.policy, right.capacity)
+            assert series_equal(left, right)
+
+    def test_pool_gets_cells_in_start_order(
+        self, sweep_trace, sweep_capacity, monkeypatch
+    ):
+        import repro.sim.parallel as parallel_module
+
+        submitted = []
+
+        class RecordingPool(parallel_module.ProcessPoolExecutor):
+            def submit(self, fn, spec, *args, **kwargs):
+                submitted.append(spec.index)
+                return super().submit(fn, spec, *args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", RecordingPool)
+        obs = Observation.sidecars_only(spans=SpanRecorder())
+        run_comparison(
+            sweep_trace, self.NAMES, [sweep_capacity], parallel=2, obs=obs
+        )
+        assert submitted == [4, 3, 2, 1, 0]
+        scatter = next(s for s in obs.spans.spans if s.name == "sweep.scatter")
+        assert scatter.args["order"] == submitted

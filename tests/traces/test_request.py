@@ -1,5 +1,9 @@
 """Request and Trace records: validation, indexing, accounting."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.traces.packed import PackedTrace
@@ -28,6 +32,45 @@ class TestRequest:
         req = Request(time=0.0, obj_id=1, size=1)
         with pytest.raises(AttributeError):
             req.size = 2
+
+    def test_positional_and_keyword_forms_agree(self):
+        req = Request(1.5, 7, 100, 3)
+        assert req == Request(time=1.5, obj_id=7, size=100, index=3)
+        assert Request(1.5, 7, 100).index == -1
+        assert repr(req) == "Request(time=1.5, obj_id=7, size=100, index=3)"
+
+    def test_value_semantics(self):
+        req = Request(1.5, 7, 100, 3)
+        twin = Request(1.5, 7, 100, 3)
+        assert req == twin and req is not twin
+        assert hash(req) == hash(twin)
+        assert len({req, twin}) == 1
+        assert req != Request(1.5, 7, 100, 4)
+        assert not hasattr(req, "__dict__")
+
+    def test_pickle_and_copy_round_trip(self):
+        req = Request(1.5, 7, 100, 3)
+        for clone in (
+            pickle.loads(pickle.dumps(req)),
+            copy.copy(req),
+            copy.deepcopy(req),
+        ):
+            assert clone == req
+            with pytest.raises(AttributeError):
+                clone.size = 2
+
+    def test_replace_and_fields(self):
+        req = Request(1.5, 7, 100, 3)
+        assert dataclasses.replace(req, size=5) == Request(1.5, 7, 5, 3)
+        assert [f.name for f in dataclasses.fields(req)] == [
+            "time", "obj_id", "size", "index",
+        ]
+        with pytest.raises(ValueError, match="size must be positive"):
+            dataclasses.replace(req, size=0)
+
+    def test_size_is_checked_before_time(self):
+        with pytest.raises(ValueError, match="size must be positive, got 0"):
+            Request(time=-1.0, obj_id=1, size=0)
 
 
 class TestTrace:

@@ -1,11 +1,19 @@
-"""Streaming statistics: Welford, reservoir percentiles, EWMA."""
+"""Streaming statistics: Welford, sum-and-count means, reservoir
+percentiles, EWMA."""
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.stats import EwmaEstimator, PercentileTracker, RunningStats
+from repro.util.stats import (
+    EwmaEstimator,
+    PercentileTracker,
+    RunningMean,
+    RunningStats,
+)
 
 
 class TestRunningStats:
@@ -60,6 +68,35 @@ class TestRunningStats:
         empty = RunningStats()
         empty.merge(stats)
         assert empty.count == 2 and empty.mean == 2.0
+
+
+class TestRunningMean:
+    def test_empty(self):
+        mean = RunningMean()
+        assert mean.count == 0 and mean.mean == 0.0
+
+    def test_matches_welford_and_numpy(self):
+        values = np.random.default_rng(2).exponential(40.0, 1000)
+        mean, welford = RunningMean(), RunningStats()
+        for value in values:
+            mean.add(float(value))
+            welford.add(float(value))
+        assert mean.count == welford.count == 1000
+        assert mean.mean == pytest.approx(values.mean())
+        assert mean.mean == pytest.approx(welford.mean)
+
+    def test_integer_values(self):
+        mean = RunningMean()
+        for hits in (0, 3, 0, 1):
+            mean.add(hits)
+        assert mean.mean == 1.0 and isinstance(mean.mean, float)
+
+    def test_pickles(self):
+        mean = RunningMean()
+        mean.add(2.0)
+        copy = pickle.loads(pickle.dumps(mean))
+        copy.add(4.0)
+        assert (copy.count, copy.mean) == (2, 3.0)
 
 
 class TestPercentileTracker:
