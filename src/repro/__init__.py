@@ -19,6 +19,11 @@ they are evaluated on:
 * :mod:`repro.obs` — the observability substrate: structured events,
   metrics registry and profiling timers (``docs/OBSERVABILITY.md``).
 
+The packages bind their public names on first access (PEP 562;
+:mod:`repro.policies` and :mod:`repro.proto` bind theirs when they load):
+``import repro`` loads no submodule, and ``from repro.sim import simulate``
+loads only the modules a replay runs.
+
 Quickstart::
 
     from repro import LhrCache, generate_production_trace, simulate
@@ -29,52 +34,78 @@ Quickstart::
     print(result.object_hit_ratio)
 """
 
-from repro.core import GradientBoostingRegressor, HroBound, LhrCache, hro_bound
-from repro.obs import NULL_OBS, MetricsRegistry, Observation
-from repro.policies import SOTA_POLICIES, make_policy
-from repro.sim import build_policy, measure_latency, run_comparison, simulate
-from repro.traces import (
-    PRODUCTION_SPECS,
-    Request,
-    Trace,
-    generate_production_trace,
-    irm_trace,
-    summarize_trace,
-    syn_one_trace,
-    syn_two_trace,
-)
-from repro.workloads import (
-    ScenarioConfig,
-    known_scenarios,
-    run_workload_lab,
-)
+import sys
+import types
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GradientBoostingRegressor",
-    "HroBound",
-    "LhrCache",
-    "MetricsRegistry",
-    "NULL_OBS",
-    "Observation",
-    "PRODUCTION_SPECS",
-    "Request",
-    "SOTA_POLICIES",
-    "ScenarioConfig",
-    "Trace",
-    "__version__",
-    "build_policy",
-    "generate_production_trace",
-    "hro_bound",
-    "irm_trace",
-    "known_scenarios",
-    "make_policy",
-    "measure_latency",
-    "run_comparison",
-    "run_workload_lab",
-    "simulate",
-    "summarize_trace",
-    "syn_one_trace",
-    "syn_two_trace",
-]
+
+def _lazy_exports(package: str, sources: dict[str, tuple[str, ...]]):
+    """PEP 562 hooks that bind each public name of ``package`` on first
+    access.
+
+    ``sources`` maps each defining module to the names the package
+    exports from it.  Returns ``(exports, __getattr__, __dir__)``:
+    ``exports`` maps each name to its module, and ``__getattr__`` imports
+    that module the first time the name is read and binds the object into
+    the package, so later reads are plain attribute lookups.
+
+    ``__getattr__`` runs only for a missing attribute, and importing a
+    submodule binds the submodule on its package.  A name exported from
+    a submodule of the same name (``repro.bounds.infinite_cap``) would
+    then read as the submodule once anything imported it, so the
+    package's class keeps the export in its place.
+    """
+    exports = {name: module for module, names in sources.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        # ``__import__`` (not ``importlib.import_module``) takes the
+        # interpreter's own import path, which ``-X importtime`` reports.
+        __import__(module)
+        value = getattr(sys.modules[module], name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(exports))
+
+    class Package(types.ModuleType):
+        def __setattr__(self, name: str, value) -> None:
+            submodule = isinstance(value, types.ModuleType)
+            if submodule and value.__name__ == exports.get(name):
+                value = getattr(value, name)
+            super().__setattr__(name, value)
+
+    sys.modules[package].__class__ = Package
+    return exports, __getattr__, __dir__
+
+
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.gbm": ("GradientBoostingRegressor",),
+        "repro.core.hro": ("HroBound", "hro_bound"),
+        "repro.core.lhr": ("LhrCache",),
+        "repro.obs.observation": ("NULL_OBS", "Observation"),
+        "repro.obs.registry": ("MetricsRegistry",),
+        "repro.policies": ("SOTA_POLICIES", "make_policy"),
+        "repro.sim.engine": ("simulate",),
+        "repro.sim.network": ("measure_latency",),
+        "repro.sim.runner": ("build_policy", "run_comparison"),
+        "repro.traces.production": ("PRODUCTION_SPECS", "generate_production_trace"),
+        "repro.traces.request": ("Request", "Trace"),
+        "repro.traces.stats": ("summarize_trace",),
+        "repro.traces.synthetic": ("irm_trace", "syn_one_trace", "syn_two_trace"),
+        "repro.workloads.lab": ("run_workload_lab",),
+        "repro.workloads.scenarios": ("ScenarioConfig", "known_scenarios"),
+    },
+)
+
+__all__ = ["__version__", *_EXPORTS]

@@ -19,26 +19,19 @@ Online bound:
   (:func:`exact_hazard_bound`).
 """
 
-from repro.bounds.belady import (
-    BoundResult,
-    belady_size,
-    belady_size_decisions,
-    belady_unit,
-    next_occurrences,
-)
-from repro.bounds.hazard import exact_hazard_bound, hazard_top_set
-from repro.bounds.infinite_cap import infinite_cap
-from repro.bounds.pfoo import pfoo_lower, pfoo_upper
+from repro import _lazy_exports
 
-__all__ = [
-    "BoundResult",
-    "belady_size",
-    "belady_size_decisions",
-    "belady_unit",
-    "exact_hazard_bound",
-    "hazard_top_set",
-    "infinite_cap",
-    "next_occurrences",
-    "pfoo_lower",
-    "pfoo_upper",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.bounds.belady": (
+            "BoundResult", "belady_size", "belady_size_decisions", "belady_unit",
+            "next_occurrences",
+        ),
+        "repro.bounds.hazard": ("exact_hazard_bound", "hazard_top_set"),
+        "repro.bounds.infinite_cap": ("infinite_cap",),
+        "repro.bounds.pfoo": ("pfoo_lower", "pfoo_upper"),
+    },
+)
+
+__all__ = list(_EXPORTS)

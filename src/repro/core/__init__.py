@@ -4,66 +4,31 @@ from — the gradient-boosting model, the feature store, the drift
 detector and the threshold estimator.
 """
 
-from repro.core.detection import DetectionRecord, DriftDetector
-from repro.core.hazard_models import (
-    HAZARD_MODELS,
-    HyperexponentialHazard,
-    PoissonHazard,
-    WeibullHazard,
-    fit_hazard_model,
-)
-from repro.core.serialization import (
-    gbm_from_dict,
-    gbm_to_dict,
-    lhr_checkpoint,
-    load_lhr_checkpoint,
-    load_model,
-    restore_lhr,
-    save_lhr_checkpoint,
-    save_model,
-)
-from repro.core.features import FeatureStore, feature_dim
-from repro.core.gbm import GradientBoostingRegressor
-from repro.core.hro import (
-    HroBound,
-    HroWindow,
-    compute_top_set,
-    hro_bound,
-    window_labels,
-    window_labels_for_ids,
-)
-from repro.core.lhr import DLhrCache, LhrCache, NLhrCache
-from repro.core.threshold import ThresholdEstimator, WindowSample, shadow_hit_ratio
+from repro import _lazy_exports
 
-__all__ = [
-    "DLhrCache",
-    "DetectionRecord",
-    "DriftDetector",
-    "HAZARD_MODELS",
-    "HyperexponentialHazard",
-    "PoissonHazard",
-    "WeibullHazard",
-    "fit_hazard_model",
-    "gbm_from_dict",
-    "gbm_to_dict",
-    "lhr_checkpoint",
-    "load_lhr_checkpoint",
-    "load_model",
-    "restore_lhr",
-    "save_lhr_checkpoint",
-    "save_model",
-    "FeatureStore",
-    "GradientBoostingRegressor",
-    "HroBound",
-    "HroWindow",
-    "LhrCache",
-    "NLhrCache",
-    "ThresholdEstimator",
-    "WindowSample",
-    "compute_top_set",
-    "feature_dim",
-    "hro_bound",
-    "shadow_hit_ratio",
-    "window_labels",
-    "window_labels_for_ids",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.detection": ("DetectionRecord", "DriftDetector"),
+        "repro.core.features": ("FeatureStore", "feature_dim"),
+        "repro.core.gbm": ("GradientBoostingRegressor",),
+        "repro.core.hazard_models": (
+            "HAZARD_MODELS", "HyperexponentialHazard", "PoissonHazard", "WeibullHazard",
+            "fit_hazard_model",
+        ),
+        "repro.core.hro": (
+            "HroBound", "HroWindow", "compute_top_set", "hro_bound", "window_labels",
+            "window_labels_for_ids",
+        ),
+        "repro.core.lhr": ("DLhrCache", "LhrCache", "NLhrCache"),
+        "repro.core.serialization": (
+            "gbm_from_dict", "gbm_to_dict", "lhr_checkpoint", "load_lhr_checkpoint",
+            "load_model", "restore_lhr", "save_lhr_checkpoint", "save_model",
+        ),
+        "repro.core.threshold": (
+            "ThresholdEstimator", "WindowSample", "shadow_hit_ratio",
+        ),
+    },
+)
+
+__all__ = list(_EXPORTS)

@@ -5,162 +5,63 @@ exporter, sampling profiler, benchmark regression sentinel) and the
 persistent run ledger (cross-run experiment tracking, SLO checks,
 history-aware regression trends).
 
+The package binds each public name on first access, so the replay path
+(``Observation``, the registry, events, spans, learner telemetry and the
+decision tracer) loads without the HTTP exporter, the profiler, the
+ledger or the baseline tooling; ``from repro.obs import name`` loads
+only the module that defines ``name``.
+
 See ``docs/OBSERVABILITY.md`` for the event catalog, metric naming and
 CLI usage (``--log-json``, ``--metrics-out``, ``--verbose``, ``--serve``,
 ``--trace-out``, ``repro profile``, ``repro timeline``,
 ``repro bench-compare``, ``repro runs``).
 """
 
-from repro.obs.baseline import (
-    BaselineTolerance,
-    BaselineVerdict,
-    compare_files,
-    compare_payloads,
-    compare_with_history,
-    history_payload,
-    load_telemetry,
-    upgrade_payload,
-    validate_telemetry,
-)
-from repro.obs.events import (
-    EVENT_TYPES,
-    FanoutRecorder,
-    JsonlRecorder,
-    MemoryRecorder,
-    NullRecorder,
-    TextRecorder,
-    read_events_jsonl,
-    register_event_type,
-)
-from repro.obs.learner import (
-    CAL_BINS,
-    NULL_LEARNER,
-    RETRAIN_CAUSES,
-    CalibrationStats,
-    LearnerCellReport,
-    LearnerReport,
-    LearnerSeries,
-    LearnerTelemetry,
-    analyze_learner,
-    kendall_tau,
-    rank_overlap,
-    realized_reuse,
-)
-from repro.obs.observation import NULL_OBS, Observation
-from repro.obs.profile import ProfileReport, SamplingProfiler, profile_simulation
-from repro.obs.registry import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.runs import (
-    RunDiff,
-    RunLedger,
-    RunRecord,
-    config_digest,
-    current_git_rev,
-    default_ledger_root,
-    diff_records,
-    digest_events,
-    record_from_results,
-)
-from repro.obs.server import ObsServer, ProgressTracker, current_rss_bytes
-from repro.obs.slo import SloReport, SloRule, SloSpec, evaluate_slo
-from repro.obs.spans import (
-    NULL_SPANS,
-    Span,
-    SpanRecorder,
-    chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.timeline import (
-    CriticalHop,
-    PhaseStat,
-    StragglerStats,
-    TimelineReport,
-    WorkerLane,
-    analyze_spans,
-)
-from repro.obs.trace import (
-    MISS_CLASSES,
-    DecisionRecord,
-    DecisionTracer,
-    MissTaxonomy,
-    TraceConfig,
+from repro import _lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.obs.baseline": (
+            "BaselineTolerance", "BaselineVerdict", "compare_files", "compare_payloads",
+            "compare_with_history", "history_payload", "load_telemetry",
+            "upgrade_payload", "validate_telemetry",
+        ),
+        "repro.obs.events": (
+            "EVENT_TYPES", "FanoutRecorder", "JsonlRecorder", "MemoryRecorder",
+            "NullRecorder", "TextRecorder", "read_events_jsonl", "register_event_type",
+        ),
+        "repro.obs.learner": (
+            "CAL_BINS", "NULL_LEARNER", "RETRAIN_CAUSES", "CalibrationStats",
+            "LearnerCellReport", "LearnerReport", "LearnerSeries", "LearnerTelemetry",
+            "analyze_learner", "kendall_tau", "rank_overlap", "realized_reuse",
+        ),
+        "repro.obs.observation": ("NULL_OBS", "Observation"),
+        "repro.obs.profile": (
+            "ProfileReport", "SamplingProfiler", "profile_simulation",
+        ),
+        "repro.obs.registry": (
+            "DEFAULT_TIME_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        ),
+        "repro.obs.runs": (
+            "RunDiff", "RunLedger", "RunRecord", "config_digest", "current_git_rev",
+            "default_ledger_root", "diff_records", "digest_events",
+            "record_from_results",
+        ),
+        "repro.obs.server": ("ObsServer", "ProgressTracker", "current_rss_bytes"),
+        "repro.obs.slo": ("SloReport", "SloRule", "SloSpec", "evaluate_slo"),
+        "repro.obs.spans": (
+            "NULL_SPANS", "Span", "SpanRecorder", "chrome_trace", "write_chrome_trace",
+        ),
+        "repro.obs.timeline": (
+            "CriticalHop", "PhaseStat", "StragglerStats", "TimelineReport",
+            "WorkerLane", "analyze_spans",
+        ),
+        "repro.obs.trace": (
+            "MISS_CLASSES", "DecisionRecord", "DecisionTracer", "MissTaxonomy",
+            "TraceConfig",
+        ),
+    },
 )
 
-__all__ = [
-    "BaselineTolerance",
-    "BaselineVerdict",
-    "CAL_BINS",
-    "CalibrationStats",
-    "Counter",
-    "CriticalHop",
-    "DEFAULT_TIME_BUCKETS",
-    "DecisionRecord",
-    "DecisionTracer",
-    "EVENT_TYPES",
-    "FanoutRecorder",
-    "Gauge",
-    "Histogram",
-    "JsonlRecorder",
-    "LearnerCellReport",
-    "LearnerReport",
-    "LearnerSeries",
-    "LearnerTelemetry",
-    "MISS_CLASSES",
-    "MemoryRecorder",
-    "MetricsRegistry",
-    "MissTaxonomy",
-    "NULL_LEARNER",
-    "NULL_OBS",
-    "NULL_SPANS",
-    "NullRecorder",
-    "ObsServer",
-    "Observation",
-    "PhaseStat",
-    "ProfileReport",
-    "ProgressTracker",
-    "RETRAIN_CAUSES",
-    "RunDiff",
-    "RunLedger",
-    "RunRecord",
-    "SamplingProfiler",
-    "SloReport",
-    "SloRule",
-    "SloSpec",
-    "Span",
-    "SpanRecorder",
-    "StragglerStats",
-    "TextRecorder",
-    "TimelineReport",
-    "TraceConfig",
-    "WorkerLane",
-    "analyze_learner",
-    "analyze_spans",
-    "chrome_trace",
-    "compare_files",
-    "compare_payloads",
-    "compare_with_history",
-    "config_digest",
-    "current_git_rev",
-    "current_rss_bytes",
-    "default_ledger_root",
-    "diff_records",
-    "digest_events",
-    "evaluate_slo",
-    "history_payload",
-    "kendall_tau",
-    "load_telemetry",
-    "profile_simulation",
-    "rank_overlap",
-    "read_events_jsonl",
-    "realized_reuse",
-    "record_from_results",
-    "register_event_type",
-    "upgrade_payload",
-    "validate_telemetry",
-    "write_chrome_trace",
-]
+__all__ = list(_EXPORTS)

@@ -4,6 +4,11 @@ classics, and a registry for building policies by name in experiments.
 The seven best-performing SOTAs reported in the paper (Section 6.2) are
 LRB, Hawkeye, LRU, LRU-4, LFU-DA, AdaptSize and B-LRU; LHR itself lives
 in :mod:`repro.core.lhr`.
+
+Unlike the other packages, this one imports every policy module when it
+loads: code that walks ``CachePolicy`` subclasses before building any
+policy (the benchmark suite's layer tracer) must find every registered
+class.
 """
 
 from __future__ import annotations

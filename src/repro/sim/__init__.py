@@ -2,75 +2,32 @@
 experiment sweep runner.
 """
 
-from repro.sim.analytical import CheModel, che_hit_ratio_curve, fit_che_model
-from repro.sim.engine import simulate
-from repro.sim.hitrate_curve import (
-    HitRateCurve,
-    ReuseDistanceAnalyzer,
-    lru_hit_rate_curve,
-)
-from repro.sim.metrics import (
-    SimulationResult,
-    WindowMetrics,
-    grid_order,
-    merge_sweeps,
-)
-from repro.sim.network import LatencyReport, NetworkModel, measure_latency
-from repro.sim.parallel import (
-    CellFailure,
-    CellSpec,
-    PackedTrace,
-    SweepCellError,
-    merge_shard_results,
-    run_sharded,
-    run_sweep,
-    shard_assignments,
-    shard_capacities,
-    shard_of,
-)
-from repro.sim.replication import ReplicatedResult, replicate_comparison
-from repro.sim.runner import (
-    best_policy,
-    build_policy,
-    format_table,
-    is_known_policy,
-    known_policies,
-    run_comparison,
-    sweep_specs,
+from repro import _lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.sim.analytical": ("CheModel", "che_hit_ratio_curve", "fit_che_model"),
+        "repro.sim.engine": ("simulate",),
+        "repro.sim.hitrate_curve": (
+            "HitRateCurve", "ReuseDistanceAnalyzer", "lru_hit_rate_curve",
+        ),
+        "repro.sim.metrics": (
+            "SimulationResult", "WindowMetrics", "grid_order", "merge_sweeps",
+        ),
+        "repro.sim.network": ("LatencyReport", "NetworkModel", "measure_latency"),
+        "repro.sim.parallel": (
+            "CellFailure", "CellSpec", "SweepCellError", "merge_shard_results",
+            "run_sharded", "run_sweep", "shard_assignments", "shard_capacities",
+            "shard_of",
+        ),
+        "repro.sim.replication": ("ReplicatedResult", "replicate_comparison"),
+        "repro.sim.runner": (
+            "best_policy", "build_policy", "format_table", "is_known_policy",
+            "known_policies", "run_comparison", "sweep_specs",
+        ),
+        "repro.traces.packed": ("PackedTrace",),
+    },
 )
 
-__all__ = [
-    "CellFailure",
-    "CellSpec",
-    "CheModel",
-    "HitRateCurve",
-    "LatencyReport",
-    "NetworkModel",
-    "PackedTrace",
-    "ReplicatedResult",
-    "ReuseDistanceAnalyzer",
-    "SimulationResult",
-    "SweepCellError",
-    "che_hit_ratio_curve",
-    "fit_che_model",
-    "grid_order",
-    "is_known_policy",
-    "lru_hit_rate_curve",
-    "merge_sweeps",
-    "WindowMetrics",
-    "best_policy",
-    "build_policy",
-    "format_table",
-    "known_policies",
-    "measure_latency",
-    "merge_shard_results",
-    "replicate_comparison",
-    "run_comparison",
-    "run_sharded",
-    "run_sweep",
-    "shard_assignments",
-    "shard_capacities",
-    "shard_of",
-    "simulate",
-    "sweep_specs",
-]
+__all__ = list(_EXPORTS)

@@ -58,11 +58,11 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.obs import NULL_OBS, MemoryRecorder, MetricsRegistry, Observation
-from repro.obs.server import ProgressTracker, current_rss_bytes
 from repro.obs.learner import LearnerTelemetry
 from repro.obs.spans import SpanRecorder
 from repro.obs.trace import TraceConfig
@@ -76,6 +76,11 @@ from repro.traces.packed import (
     attach_shared_trace,
 )
 from repro.traces.request import Trace
+
+if TYPE_CHECKING:
+    # The live exporter's module is imported only where a sweep runs with
+    # a tracker or heartbeats, never on the plain replay path.
+    from repro.obs.server import ProgressTracker
 
 #: Default worker heartbeat cadence, in replayed requests per cell.
 DEFAULT_HEARTBEAT_INTERVAL = 1000
@@ -265,6 +270,8 @@ def _heartbeat_for(spec: CellSpec, policy, interval: int, sink):
     """
     if interval <= 0:
         return None
+    from repro.obs.server import current_rss_bytes
+
     if sink is None:
         hb_queue = _WORKER_HEARTBEAT_QUEUE
         if hb_queue is None:

@@ -10,6 +10,7 @@ through the combined registry — the SOTA policies from
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.lhr import DLhrCache, LhrCache, NLhrCache
 from repro.obs import NULL_OBS, Observation
@@ -17,7 +18,6 @@ from repro.obs.trace import TraceConfig
 from repro.policies import POLICY_REGISTRY, make_policy
 from repro.policies.base import CachePolicy
 from repro.sim.metrics import SimulationResult
-from repro.obs.server import ProgressTracker
 from repro.sim.parallel import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_STALL_TIMEOUT,
@@ -26,6 +26,9 @@ from repro.sim.parallel import (
 )
 from repro.traces.packed import PackedTrace
 from repro.traces.request import Trace
+
+if TYPE_CHECKING:
+    from repro.obs.server import ProgressTracker
 
 _CORE_REGISTRY = {
     "lhr": LhrCache,

@@ -7,43 +7,25 @@ stand-ins calibrated to the published per-trace statistics; see DESIGN.md
 for the substitution rationale.
 """
 
-from repro.traces.loader import load_trace_csv, save_trace_csv
-from repro.traces.packed import (
-    PackedTrace,
-    SharedTraceBuffers,
-    SharedTraceDescriptor,
-    attach_shared_trace,
-)
-from repro.traces.production import (
-    PRODUCTION_SPECS,
-    TraceSpec,
-    generate_production_trace,
-)
-from repro.traces.request import Request, Trace
-from repro.traces.stats import TraceSummary, summarize_trace
-from repro.traces.synthetic import (
-    MarkovModulatedGenerator,
-    irm_trace,
-    syn_one_trace,
-    syn_two_trace,
+from repro import _lazy_exports
+
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.traces.loader": ("load_trace_csv", "save_trace_csv"),
+        "repro.traces.packed": (
+            "PackedTrace", "SharedTraceBuffers", "SharedTraceDescriptor",
+            "attach_shared_trace",
+        ),
+        "repro.traces.production": (
+            "PRODUCTION_SPECS", "TraceSpec", "generate_production_trace",
+        ),
+        "repro.traces.request": ("Request", "Trace"),
+        "repro.traces.stats": ("TraceSummary", "summarize_trace"),
+        "repro.traces.synthetic": (
+            "MarkovModulatedGenerator", "irm_trace", "syn_one_trace", "syn_two_trace",
+        ),
+    },
 )
 
-__all__ = [
-    "MarkovModulatedGenerator",
-    "PRODUCTION_SPECS",
-    "PackedTrace",
-    "Request",
-    "SharedTraceBuffers",
-    "SharedTraceDescriptor",
-    "attach_shared_trace",
-    "Trace",
-    "TraceSpec",
-    "TraceSummary",
-    "generate_production_trace",
-    "irm_trace",
-    "load_trace_csv",
-    "save_trace_csv",
-    "summarize_trace",
-    "syn_one_trace",
-    "syn_two_trace",
-]
+__all__ = list(_EXPORTS)

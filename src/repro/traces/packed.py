@@ -1,23 +1,27 @@
 """Columnar trace representation — the replay engine's native format.
 
-A ``Trace`` is a list of ``Request`` dataclass instances; that is the
-*reference* representation every policy understands.  ``PackedTrace``
-carries the same information as three primitive NumPy columns
-``(times, obj_ids, sizes)``:
+``PackedTrace`` holds a request trace as three primitive NumPy columns
+``(times, obj_ids, sizes)``, checked once against the trace input
+contract (:func:`checked_columns`):
 
-* it pickles in a few contiguous buffers instead of per-object records,
 * :func:`repro.sim.engine.replay_into` replays every trace from these
-  columns (a ``Trace`` is packed first), handing chunks to
-  ``CachePolicy.replay_span`` — native span kernels allocate no
-  per-request ``Request`` on the hot path,
+  columns, handing chunks to ``CachePolicy.replay_span`` — native span
+  kernels allocate no per-request ``Request`` on the hot path,
+* it pickles in a few contiguous buffers instead of per-object records,
 * :class:`SharedTraceBuffers` places the columns in POSIX shared memory
   once so sweep workers map them read-only instead of unpickling their
   own copy of a million-request trace.
 
-``CachePolicy.request`` remains the semantic reference: ``unpack()``
-rebuilds the exact ``Trace``, and the equivalence suites
-(``tests/sim/test_fastpath.py``, ``tests/sim/test_span_differential.py``)
-pin every span kernel to bit-identical hit/miss streams.
+A :class:`~repro.traces.request.Trace` is the same stream read as
+``Request`` records.  ``unpack()`` returns a ``Trace`` that holds these
+columns and builds its ``Request`` list only when something reads it;
+until then :meth:`PackedTrace.from_trace` hands the columns straight
+back.  Every generator and loader ends in ``unpack()``, so a generated
+trace reaches the replay loop without one ``Request`` being built.
+``CachePolicy.request`` remains the semantic reference: the equivalence
+suites (``tests/sim/test_fastpath.py``,
+``tests/sim/test_span_differential.py``) pin every span kernel to
+bit-identical hit/miss streams.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.traces.request import _NOT_INT64, Request, Trace, _fits_int64
+from repro.traces.request import _NOT_INT64, Trace, _fits_int64
 
 
 def _int64_column(values) -> tuple[np.ndarray, np.ndarray | None]:
@@ -116,7 +120,14 @@ class PackedTrace:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "PackedTrace":
-        """Pack ``trace``, checking it against :func:`checked_columns`."""
+        """Pack ``trace``: the columns of a trace never read as requests,
+        as they are (they were checked when packed), or else its
+        ``Request`` list, checked against :func:`checked_columns`."""
+        held = trace.columns
+        if held is not None:
+            return cls(
+                held.times, held.obj_ids, held.sizes, trace.name, dict(trace.metadata)
+            )
         # Each list becomes an array before the next is built: one list
         # alive at a time sets packing's peak memory.
         columns = checked_columns(
@@ -141,14 +152,10 @@ class PackedTrace:
         return cls(*columns, name, dict(metadata or {}))
 
     def unpack(self) -> Trace:
-        """Rebuild the reference ``Trace`` (requests carry their indices)."""
-        requests = [
-            Request(time=t, obj_id=o, size=s, index=i)
-            for i, (t, o, s) in enumerate(
-                zip(self.times.tolist(), self.obj_ids.tolist(), self.sizes.tolist())
-            )
-        ]
-        return Trace(requests, name=self.name, metadata=dict(self.metadata))
+        """This trace as a :class:`Trace` that holds these columns; it
+        builds its ``Request`` list (requests carry their indices) only
+        when first read."""
+        return Trace._of_columns(self, self.name, dict(self.metadata))
 
     def scalar_columns(self) -> tuple[list, list, list]:
         """``(obj_ids, sizes, times)`` as plain Python lists.

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.traces.request import Request, Trace
+from repro.traces.packed import PackedTrace
+from repro.traces.request import Trace
 from repro.util.sampling import lognormal_sizes, require_seed, zipf_weights
 
 GB = 1 << 30
@@ -273,17 +274,10 @@ def generate_production_trace(
     times = np.cumsum(gaps)
     times *= spec.duration_seconds / times[-1]
 
-    requests = [
-        Request(
-            time=float(times[i]),
-            obj_id=int(ids[i]),
-            size=int(sizes[ids[i]]),
-            index=i,
-        )
-        for i in range(num_requests)
-    ]
-    return Trace(
-        requests,
+    return PackedTrace.from_arrays(
+        times,
+        ids,
+        sizes[ids],
         name=spec.name,
         metadata={
             "spec": spec.name,
@@ -292,4 +286,4 @@ def generate_production_trace(
             "head_contents": head,
             "one_hit_contents": num_one_hit,
         },
-    )
+    ).unpack()

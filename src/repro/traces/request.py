@@ -4,13 +4,23 @@ Every policy, bound and prototype consumes a stream of
 ``(time, content id, size)`` tuples; nothing downstream depends on where
 the stream came from (synthetic generator, production stand-in or a CSV on
 disk).
+
+A :class:`Trace` holds that stream in one of two forms.  Generators and
+loaders return the checked columns of a
+:class:`~repro.traces.packed.PackedTrace` (``PackedTrace.unpack``); the
+replay engine packs such a trace back to those same columns without
+building a single :class:`Request`.  Code that reads the trace as
+requests (``requests``, iteration, indexing) builds the ``Request`` list
+once, and from then on that list is the trace.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 _INF = math.inf
 _INT64_MIN = -(2**63)
@@ -73,22 +83,76 @@ _set_size = Request.size.__set__
 _set_index = Request.index.__set__
 
 
-@dataclass
 class Trace:
-    """A materialized request trace with optional provenance metadata."""
+    """A request trace with optional provenance metadata.
 
-    requests: list[Request]
-    name: str = "trace"
-    metadata: dict = field(default_factory=dict)
+    Built from a ``Request`` list (re-indexed in list order), or by
+    :meth:`PackedTrace.unpack <repro.traces.packed.PackedTrace.unpack>`
+    from checked columns.  A column-backed trace builds its ``Request``
+    list on the first read of :attr:`requests`, iteration, indexing or
+    ``==`` against a list-backed trace; after that read the list is the
+    trace, and editing it changes what packs.  ``len``, :attr:`duration`,
+    :meth:`total_bytes`, :meth:`unique_contents`, :meth:`unique_bytes`,
+    pickling and ``==`` between two column-backed traces read the columns
+    while the trace has them.
+    """
 
-    def __post_init__(self) -> None:
-        self.requests = [
+    def __init__(
+        self,
+        requests: list[Request],
+        name: str = "trace",
+        metadata: dict | None = None,
+    ) -> None:
+        self._columns = None
+        self._requests = [
             req if req.index == idx else Request(req.time, req.obj_id, req.size, idx)
-            for idx, req in enumerate(self.requests)
+            for idx, req in enumerate(requests)
         ]
+        self.name = name
+        self.metadata = {} if metadata is None else metadata
+
+    @classmethod
+    def _of_columns(cls, columns, name: str, metadata: dict) -> "Trace":
+        """A trace reading from ``columns`` (a checked ``PackedTrace``)."""
+        trace = cls.__new__(cls)
+        trace._columns = columns
+        trace._requests = None
+        trace.name = name
+        trace.metadata = metadata
+        return trace
+
+    @property
+    def columns(self):
+        """The :class:`~repro.traces.packed.PackedTrace` this trace still
+        reads from, or None once it has been read as requests."""
+        return self._columns
+
+    @property
+    def requests(self) -> list[Request]:
+        """The trace as ``Request`` records, each carrying its index."""
+        if self._requests is None:
+            columns = self._columns
+            self._requests = [
+                Request(t, o, s, i)
+                for i, (t, o, s) in enumerate(
+                    zip(
+                        columns.times.tolist(),
+                        columns.obj_ids.tolist(),
+                        columns.sizes.tolist(),
+                    )
+                )
+            ]
+            self._columns = None
+        return self._requests
+
+    @requests.setter
+    def requests(self, requests: list[Request]) -> None:
+        self._requests = requests
+        self._columns = None
 
     def __len__(self) -> int:
-        return len(self.requests)
+        columns = self._columns
+        return len(self._requests) if columns is None else len(columns)
 
     def __iter__(self) -> Iterator[Request]:
         return iter(self.requests)
@@ -97,6 +161,25 @@ class Trace:
         if isinstance(item, slice):
             return Trace(list(self.requests[item]), name=self.name, metadata=dict(self.metadata))
         return self.requests[item]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.name, self.metadata) != (other.name, other.metadata):
+            return False
+        mine, theirs = self._columns, other._columns
+        if mine is None or theirs is None:
+            return self.requests == other.requests
+        return all(
+            np.array_equal(getattr(mine, column), getattr(theirs, column))
+            for column in ("times", "obj_ids", "sizes")
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Trace(name={self.name!r}, requests={len(self)}, "
+            f"metadata={self.metadata!r})"
+        )
 
     @classmethod
     def from_tuples(
@@ -120,20 +203,28 @@ class Trace:
     @property
     def duration(self) -> float:
         """Trace span in seconds (0 for traces with fewer than 2 requests)."""
-        if len(self.requests) < 2:
+        if len(self) < 2:
             return 0.0
-        return self.requests[-1].time - self.requests[0].time
+        columns = self._columns
+        if columns is None:
+            return self._requests[-1].time - self._requests[0].time
+        return float(columns.times[-1]) - float(columns.times[0])
 
     def unique_contents(self) -> dict[int, int]:
-        """Map of content id -> size for every distinct content (its last
-        requested size: a content may change size)."""
-        sizes: dict[int, int] = {}
-        for req in self.requests:
-            sizes[req.obj_id] = req.size
-        return sizes
+        """Map of content id -> size for every distinct content, in order
+        of first request (its last requested size: a content may change
+        size)."""
+        columns = self._columns
+        if columns is None:
+            return {req.obj_id: req.size for req in self._requests}
+        return dict(zip(columns.obj_ids.tolist(), columns.sizes.tolist()))
 
     def total_bytes(self) -> int:
-        return sum(req.size for req in self.requests)
+        columns = self._columns
+        if columns is None:
+            return sum(req.size for req in self._requests)
+        # Python ints, as the loop sums: an int64 column sum could wrap.
+        return sum(columns.sizes.tolist())
 
     def unique_bytes(self) -> int:
         return sum(self.unique_contents().values())

@@ -18,7 +18,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.traces.request import Request, Trace
+from repro.traces.packed import PackedTrace
+from repro.traces.request import Trace
 from repro.util.sampling import ZipfSampler, lognormal_sizes, require_seed
 
 
@@ -73,15 +74,13 @@ def irm_trace(
     ids = sampler.sample(num_requests)
     gaps = rng.exponential(1.0 / request_rate, size=num_requests)
     times = np.cumsum(gaps)
-    requests = [
-        Request(time=float(times[i]), obj_id=int(ids[i]), size=int(sizes[ids[i]]), index=i)
-        for i in range(num_requests)
-    ]
-    return Trace(
-        requests,
+    return PackedTrace.from_arrays(
+        times,
+        ids,
+        sizes[ids],
         name=name,
         metadata={"alpha": alpha, "num_contents": num_contents, "seed": seed},
-    )
+    ).unpack()
 
 
 class MarkovModulatedGenerator:
@@ -153,27 +152,18 @@ class MarkovModulatedGenerator:
         states = self.state_sequence(num_requests)
         gaps = self._rng.exponential(1.0 / request_rate, size=num_requests)
         times = np.cumsum(gaps)
-        requests: list[Request] = []
+        ids = np.empty(num_requests, dtype=np.int64)
         start = 0
         while start < num_requests:
             state = states[start]
             end = start
             while end < num_requests and states[end] == state:
                 end += 1
-            ids = self._samplers[state].sample(end - start)
-            for offset, content in enumerate(ids):
-                i = start + offset
-                requests.append(
-                    Request(
-                        time=float(times[i]),
-                        obj_id=int(content),
-                        size=int(sizes[content]),
-                        index=i,
-                    )
-                )
+            ids[start:end] = self._samplers[state].sample(end - start)
             start = end
-        trace = Trace(requests, name=name, metadata={"states": states})
-        return trace
+        return PackedTrace.from_arrays(
+            times, ids, np.asarray(sizes)[ids], name=name, metadata={"states": states}
+        ).unpack()
 
 
 def syn_one_trace(

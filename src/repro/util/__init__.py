@@ -6,22 +6,18 @@ are assembled from.  Everything here is deterministic given an explicit seed
 and has no dependency on the rest of the package.
 """
 
-from repro.util.bloom import BloomFilter
-from repro.util.fitting import ZipfFit, fit_zipf
-from repro.util.heap import LazyHeap
-from repro.util.sampling import ZipfSampler, zipf_weights
-from repro.util.sketch import CountMinSketch
-from repro.util.stats import EwmaEstimator, PercentileTracker, RunningStats
+from repro import _lazy_exports
 
-__all__ = [
-    "BloomFilter",
-    "CountMinSketch",
-    "EwmaEstimator",
-    "LazyHeap",
-    "PercentileTracker",
-    "RunningStats",
-    "ZipfFit",
-    "ZipfSampler",
-    "fit_zipf",
-    "zipf_weights",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.util.bloom": ("BloomFilter",),
+        "repro.util.fitting": ("ZipfFit", "fit_zipf"),
+        "repro.util.heap": ("LazyHeap",),
+        "repro.util.sampling": ("ZipfSampler", "zipf_weights"),
+        "repro.util.sketch": ("CountMinSketch",),
+        "repro.util.stats": ("EwmaEstimator", "PercentileTracker", "RunningStats"),
+    },
+)
+
+__all__ = list(_EXPORTS)

@@ -21,9 +21,9 @@ delivery:
   half at a configurable point.
 
 Every scenario is generated from one seeded ``numpy`` RNG and emitted
-through a single column builder, so :func:`generate_trace` (the
-``Request``-list reference path) and :func:`generate_packed` (the
-columnar fast path) are bit-identical by construction —
+through a single column builder; :func:`generate_trace` is
+:func:`generate_packed` unpacked, so the ``Request`` records it reads as
+are bit-identical to the packed columns by construction —
 ``tests/workloads/test_generators.py`` pins that, plus seeded
 determinism, monotone timestamps and positive sizes, for every
 registered scenario.
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.traces.packed import PackedTrace
-from repro.traces.request import Request, Trace
+from repro.traces.request import Trace
 from repro.util.sampling import lognormal_sizes, require_seed, zipf_weights
 
 __all__ = [
@@ -227,20 +227,9 @@ def generate_packed(config: ScenarioConfig) -> PackedTrace:
 
 
 def generate_trace(config: ScenarioConfig) -> Trace:
-    """The scenario as a reference ``Request``-list :class:`Trace`.
-
-    Built from the same columns as :func:`generate_packed`, so the two
-    emissions are bit-identical (``PackedTrace.from_trace`` of this trace
-    reproduces the packed columns exactly).
-    """
-    times, obj_ids, sizes, metadata = get_scenario(config.scenario).columns(config)
-    requests = [
-        Request(time=t, obj_id=o, size=s, index=i)
-        for i, (t, o, s) in enumerate(
-            zip(times.tolist(), obj_ids.tolist(), sizes.tolist())
-        )
-    ]
-    return Trace(requests, name=config.scenario, metadata=metadata)
+    """The scenario as a :class:`Trace`: the columns of
+    :func:`generate_packed`, read as ``Request`` records on demand."""
+    return generate_packed(config).unpack()
 
 
 # ----------------------------------------------------------------------
