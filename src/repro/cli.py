@@ -14,8 +14,6 @@ Subcommands cover the everyday workflows:
   (reuse-distance analysis; no simulation sweep needed).
 * ``prototype`` — replay a trace through the emulated ATS or Caffeine
   deployment (LHR vs the stock baseline).
-* ``profile`` — replay under the sampling profiler and report the
-  per-phase cost table plus a collapsed-stack (flamegraph) file.
 * ``bench-compare`` — regression-check two or more ``repro-bench/1``
   telemetry files against each other (the benchmark sentinel).
 * ``workload list|describe|generate|run`` — the non-stationary workload
@@ -32,11 +30,9 @@ Subcommands cover the everyday workflows:
   retrain-cause attribution) of a run recorded with ``--learner``
   (see ``docs/OBSERVABILITY.md``).
 
-``simulate`` and ``compare`` additionally take ``--serve PORT`` to
-expose ``/metrics``, ``/healthz`` and ``/progress`` over HTTP while the
-run is live, and — together with ``workload run`` — ``--trace-out
-PATH`` to record a cross-process span timeline and export it as Chrome
-trace-event JSON (see ``docs/OBSERVABILITY.md``).
+``simulate``, ``compare`` and ``workload run`` additionally take
+``--trace-out PATH`` to record a cross-process span timeline and export
+it as Chrome trace-event JSON (see ``docs/OBSERVABILITY.md``).
 
 Capacities accept human-readable suffixes: ``512MB``, ``4GB``, ``1TB``,
 or a plain byte count.
@@ -61,8 +57,6 @@ from repro.obs import (
     MemoryRecorder,
     NullRecorder,
     Observation,
-    ObsServer,
-    ProgressTracker,
     RunLedger,
     SloSpec,
     SpanRecorder,
@@ -71,11 +65,9 @@ from repro.obs import (
     analyze_spans,
     compare_files,
     compare_with_history,
-    current_rss_bytes,
     diff_records,
     evaluate_slo,
     load_telemetry,
-    profile_simulation,
     record_from_results,
 )
 from repro.obs.learner import columns_to_series
@@ -92,10 +84,9 @@ from repro.sim import (
     format_table,
     known_policies,
     run_comparison,
-    run_sharded,
     simulate,
 )
-from repro.traces import PackedTrace, generate_production_trace, summarize_trace
+from repro.traces import generate_production_trace, summarize_trace
 from repro.traces.loader import (
     load_trace_csv,
     load_trace_webcachesim,
@@ -177,21 +168,18 @@ def _save_any_trace(trace: Trace, path: str, fmt: str) -> None:
 
 def _build_observation(
     args: argparse.Namespace,
-    require: bool = False,
     spans: SpanRecorder | None = None,
     learner: LearnerTelemetry | None = None,
 ) -> Observation:
     """Assemble the observation handle the flags ask for.
 
     Returns :data:`NULL_OBS` (the zero-overhead disabled handle) when no
-    observability flag is set, unless ``require`` forces an enabled
-    handle (``--serve`` needs a live registry to scrape even without any
-    logging flag).  A ``spans`` recorder (``--trace-out``) and a
-    ``learner`` telemetry hub (``--learner``) ride the handle as extra
-    sinks; when they are the *only* things asked for, the handle stays
-    disabled (``Observation.sidecars_only``), so no events or metrics
-    are built or shipped.  No handle changes which code replays the
-    trace.  If a later recorder constructor fails, the ones already
+    observability flag is set.  A ``spans`` recorder (``--trace-out``)
+    and a ``learner`` telemetry hub (``--learner``) ride the handle as
+    extra sinks; when they are the *only* things asked for, the handle
+    stays disabled (``Observation.sidecars_only``), so no events or
+    metrics are built or shipped.  No handle changes which code replays
+    the trace.  If a later recorder constructor fails, the ones already
     built are closed — no leaked file handles on bad flags.
     """
     recorders = []
@@ -204,7 +192,7 @@ def _build_observation(
         for recorder in recorders:
             recorder.close()
         raise
-    if not recorders and not getattr(args, "metrics_out", None) and not require:
+    if not recorders and not getattr(args, "metrics_out", None):
         if spans is not None or learner is not None:
             return Observation.sidecars_only(spans=spans, learner=learner)
         return NULL_OBS
@@ -286,41 +274,6 @@ def _learner_for(args: argparse.Namespace) -> LearnerTelemetry | None:
     if getattr(args, "learner", False):
         return LearnerTelemetry()
     return None
-
-
-def _add_serve_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--serve", metavar="PORT", type=int, default=None,
-        help="serve /metrics, /healthz, /progress (and /runs when the "
-        "ledger is on) over HTTP on this port for the duration of the "
-        "run (0 = any free port)",
-    )
-
-
-def _start_server(
-    args: argparse.Namespace,
-    obs: Observation,
-    tracker: ProgressTracker | None,
-    ledger: RunLedger | None = None,
-    learner: LearnerTelemetry | None = None,
-) -> ObsServer | None:
-    """Start the HTTP exporter when ``--serve`` was given."""
-    port = getattr(args, "serve", None)
-    if port is None:
-        return None
-    server = ObsServer(
-        registry=obs.registry,
-        tracker=tracker,
-        port=port,
-        ledger=ledger,
-        learner=learner,
-    )
-    server.start()
-    endpoints = "/metrics /healthz /progress" + (
-        " /learner" if learner is not None else ""
-    )
-    print(f"serving {endpoints} at {server.url}", flush=True)
-    return server
 
 
 # ----------------------------------------------------------------------
@@ -433,94 +386,15 @@ def cmd_trace_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_sharded(args: argparse.Namespace, trace) -> int:
-    """`repro simulate --shards N`: hash-sharded single-trace replay.
-
-    Each shard is one sweep cell with its own policy instance (see
-    :func:`repro.sim.parallel.run_sharded`), and ``run_sharded`` merges
-    only their counters and window series: it takes no observation
-    handle, so the observation / span / learner / serve surfaces are
-    rejected up front rather than silently ignored.
-    """
-    for flag, name in (
-        (getattr(args, "log_json", None), "--log-json"),
-        (getattr(args, "metrics_out", None), "--metrics-out"),
-        (getattr(args, "verbose", False), "--verbose"),
-        (getattr(args, "trace_out", None), "--trace-out"),
-        (getattr(args, "learner", False), "--learner"),
-        (getattr(args, "serve", None) is not None, "--serve"),
-    ):
-        if flag:
-            raise SystemExit(
-                f"error: {name} is not supported with --shards; sharded "
-                "replay merges only per-shard counters and window series"
-            )
-    ledger = _ledger_for(args)
-    try:
-        result = run_sharded(
-            PackedTrace.from_trace(trace),
-            args.policy,
-            args.capacity,
-            shards=args.shards,
-            window_requests=args.window,
-            warmup_requests=args.warmup,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    _record_run(
-        ledger,
-        "simulate",
-        {
-            "trace": args.trace,
-            "policy": args.policy,
-            "capacity": args.capacity,
-            "window": args.window,
-            "warmup": args.warmup,
-            "shards": args.shards,
-            "jobs": args.jobs,
-        },
-        [result],
-        name=Path(args.trace).name,
-    )
-    print(format_table([result]))
-    if args.window and result.windows:
-        series = "  ".join(f"{w.hit_ratio:.3f}" for w in result.windows)
-        print(f"per-window hit ratio: {series}")
-    return 0
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one policy over a trace and print the result row."""
     trace = load_any_trace(args.trace)
-    if getattr(args, "shards", 1) > 1:
-        return _simulate_sharded(args, trace)
     policy = build_policy(args.policy, args.capacity)
-    serving = args.serve is not None
     spans = _span_recorder_for(args)
     learner = _learner_for(args)
-    obs = _build_observation(args, require=serving, spans=spans, learner=learner)
+    obs = _build_observation(args, spans=spans, learner=learner)
     ledger = _ledger_for(args)
     capture = _capture_events(obs) if ledger is not None else None
-    tracker = None
-    heartbeat = None
-    heartbeat_interval = 0
-    if serving:
-        tracker = ProgressTracker(registry=obs.registry)
-        tracker.register_cells([(0, args.policy, args.capacity)])
-
-        def heartbeat(requests_done: int) -> None:
-            tracker.heartbeat(
-                0,
-                requests=requests_done,
-                hits=policy.hits,
-                hit_ratio=policy.object_hit_ratio,
-                evictions=policy.evictions,
-                rss_bytes=current_rss_bytes(),
-            )
-
-        heartbeat_interval = 1000
-    server = _start_server(args, obs, tracker, ledger, learner=learner)
     try:
         with obs:
             with obs.spans.span("cli.simulate", cat="cli", trace=args.trace):
@@ -530,20 +404,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     window_requests=args.window,
                     warmup_requests=args.warmup,
                     obs=obs,
-                    heartbeat=heartbeat,
-                    heartbeat_interval=heartbeat_interval,
-                )
-            if tracker is not None:
-                tracker.cell_done(
-                    0,
-                    requests=result.requests,
-                    hit_ratio=result.object_hit_ratio,
                 )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     finally:
-        if server is not None:
-            server.stop()
         _finish_observation(obs, args)
     _record_run(
         ledger,
@@ -572,14 +436,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """Run several policies across several capacities."""
     trace = load_any_trace(args.trace)
     names = [name.strip() for name in args.policies.split(",") if name.strip()]
-    serving = args.serve is not None
     spans = _span_recorder_for(args)
     learner = _learner_for(args)
-    obs = _build_observation(args, require=serving, spans=spans, learner=learner)
+    obs = _build_observation(args, spans=spans, learner=learner)
     ledger = _ledger_for(args)
     capture = _capture_events(obs) if ledger is not None else None
-    tracker = ProgressTracker(registry=obs.registry) if serving else None
-    server = _start_server(args, obs, tracker, ledger, learner=learner)
     try:
         with obs:
             with obs.spans.span("cli.compare", cat="cli", trace=args.trace):
@@ -591,13 +452,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     warmup_requests=args.warmup,
                     parallel=args.jobs,
                     obs=obs,
-                    progress=tracker,
                 )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     finally:
-        if server is not None:
-            server.stop()
         _finish_observation(obs, args)
     _record_run(
         ledger,
@@ -718,30 +576,6 @@ def cmd_prototype(args: argparse.Namespace) -> int:
     print("  ".join(c.ljust(widths[c]) for c in columns))
     for row in rows:
         print("  ".join(str(row[c]).ljust(widths[c]) for c in columns))
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Replay under the sampling profiler; print the phase/hotspot report."""
-    trace = load_any_trace(args.trace)
-    try:
-        report = profile_simulation(
-            trace,
-            args.policy,
-            args.capacity,
-            window_requests=args.window,
-            warmup_requests=args.warmup,
-            interval_seconds=args.interval_ms / 1000.0,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    if args.format == "json":
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render_text())
-    if args.collapsed:
-        path = report.write_collapsed(args.collapsed)
-        print(f"wrote collapsed stacks to {path}", file=sys.stderr)
     return 0
 
 
@@ -1199,20 +1033,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--warmup", type=int, default=0,
         help="requests replayed before metrics start counting",
     )
-    sim.add_argument(
-        "--shards", type=int, default=1,
-        help="hash-shard the object-id space across this many independent "
-        "policy instances (capacity split evenly); 1 = unsharded replay",
-    )
-    sim.add_argument(
-        "--jobs", "-j", type=int, default=0,
-        help="worker processes for --shards (0/1 = serial; result is "
-        "bit-identical either way)",
-    )
     _add_observability_flags(sim)
     _add_trace_flag(sim)
     _add_learner_flag(sim)
-    _add_serve_flag(sim)
     _add_ledger_flags(sim)
     sim.set_defaults(func=cmd_simulate)
 
@@ -1237,7 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_flags(comp)
     _add_trace_flag(comp)
     _add_learner_flag(comp)
-    _add_serve_flag(comp)
     _add_ledger_flags(comp)
     comp.set_defaults(func=cmd_compare)
 
@@ -1285,32 +1107,6 @@ def build_parser() -> argparse.ArgumentParser:
     proto.add_argument("--seed", type=int, default=0)
     _add_observability_flags(proto)
     proto.set_defaults(func=cmd_prototype)
-
-    prof = sub.add_parser(
-        "profile",
-        help="sampling-profile a replay: phase table + collapsed stacks",
-    )
-    prof.add_argument("trace", help="trace file to replay")
-    prof.add_argument("policy", choices=known_policies(), help="policy to profile")
-    prof.add_argument("--capacity", type=parse_size, required=True)
-    prof.add_argument("--window", type=int, default=0, help="per-window series")
-    prof.add_argument(
-        "--warmup", type=int, default=0,
-        help="requests replayed before metrics start counting",
-    )
-    prof.add_argument(
-        "--interval-ms", type=float, default=5.0,
-        help="stack sampling interval in milliseconds",
-    )
-    prof.add_argument(
-        "--collapsed", metavar="PATH", default=None,
-        help="write collapsed-stack output (flamegraph.pl / speedscope) here",
-    )
-    prof.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="stdout report format",
-    )
-    prof.set_defaults(func=cmd_profile)
 
     bench = sub.add_parser(
         "bench-compare",

@@ -1,19 +1,18 @@
 """Observability substrate: metrics registry, structured events,
 span-based timeline tracing (cross-process spans, Perfetto export,
-critical-path/straggler analysis), plus the live ops surface (HTTP
-exporter, sampling profiler, benchmark regression sentinel) and the
-persistent run ledger (cross-run experiment tracking, SLO checks,
-history-aware regression trends).
+critical-path/straggler analysis), learner telemetry, the benchmark
+regression sentinel and the persistent run ledger (cross-run experiment
+tracking, SLO checks, history-aware regression trends).
 
 The package binds each public name on first access, so the replay path
 (``Observation``, the registry, events, spans, learner telemetry and the
-decision tracer) loads without the HTTP exporter, the profiler, the
-ledger or the baseline tooling; ``from repro.obs import name`` loads
-only the module that defines ``name``.
+decision tracer) loads without the ledger or the baseline tooling;
+``from repro.obs import name`` loads only the module that defines
+``name``.
 
 See ``docs/OBSERVABILITY.md`` for the event catalog, metric naming and
-CLI usage (``--log-json``, ``--metrics-out``, ``--verbose``, ``--serve``,
-``--trace-out``, ``repro profile``, ``repro timeline``,
+CLI usage (``--log-json``, ``--metrics-out``, ``--verbose``,
+``--trace-out``, ``--learner``, ``repro timeline``, ``repro learner``,
 ``repro bench-compare``, ``repro runs``).
 """
 
@@ -37,9 +36,6 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(
             "analyze_learner", "kendall_tau", "rank_overlap", "realized_reuse",
         ),
         "repro.obs.observation": ("NULL_OBS", "Observation"),
-        "repro.obs.profile": (
-            "ProfileReport", "SamplingProfiler", "profile_simulation",
-        ),
         "repro.obs.registry": (
             "DEFAULT_TIME_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
         ),
@@ -48,7 +44,6 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(
             "default_ledger_root", "diff_records", "digest_events",
             "record_from_results",
         ),
-        "repro.obs.server": ("ObsServer", "ProgressTracker", "current_rss_bytes"),
         "repro.obs.slo": ("SloReport", "SloRule", "SloSpec", "evaluate_slo"),
         "repro.obs.spans": (
             "NULL_SPANS", "Span", "SpanRecorder", "chrome_trace", "write_chrome_trace",

@@ -15,8 +15,6 @@ The catalog (see ``docs/OBSERVABILITY.md`` for field-level details):
 * ``lhr.threshold_update`` — the admission threshold was re-estimated.
 * ``sweep.cell_start`` / ``sweep.cell_done`` / ``sweep.cell_failed`` —
   lifecycle of one (policy, capacity) sweep cell.
-* ``sweep.cell_stalled`` — a running cell went silent past the stall
-  timeout (only emitted when a progress tracker monitors the sweep).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ EVENT_TYPES: set[str] = {
     "sweep.cell_start",
     "sweep.cell_done",
     "sweep.cell_failed",
-    "sweep.cell_stalled",
 }
 
 

@@ -372,8 +372,7 @@ class LearnerTelemetry:
     :class:`LearnerSeries` back on the result and the driver ``absorb``s
     them keyed by grid index — per-cell series are independent, so
     absorption order cannot change content and serial and parallel
-    sweeps produce identical series.  ``snapshot`` serves the live
-    ``/learner`` endpoint from either role.
+    sweeps produce identical series.
     """
 
     enabled = True
@@ -475,39 +474,6 @@ class LearnerTelemetry:
         with self._lock:
             return sorted(self._cells.items())
 
-    def snapshot(self) -> dict:
-        """Live JSON view for the ``/learner`` endpoint."""
-        cells = []
-        for index, series in self.cells():
-            cal = series.calibration()
-            causes = series.cause_counts()
-            cells.append(
-                {
-                    "cell": index,
-                    "policy": series.policy,
-                    "capacity": series.capacity,
-                    "windows": series.windows,
-                    "brier": _json_float(cal.brier),
-                    "retrains": int(
-                        series.columns["retrained"].sum()
-                    )
-                    if series.windows
-                    else 0,
-                    "causes": {k: v for k, v in causes.items() if v},
-                }
-            )
-        with self._lock:
-            live_rows = len(self._rows)
-            last = self._rows[-1] if self._rows else None
-        live: dict = {"windows": live_rows}
-        if last is not None:
-            live["last_window"] = int(last["window"])
-            live["last_alpha"] = _json_float(last["alpha"])
-            live["last_alpha_stderr"] = _json_float(last["alpha_stderr"])
-            live["last_brier"] = _json_float(last["brier"])
-            live["last_delta"] = _json_float(last["delta"])
-        return {"cells": cells, "live": live}
-
 
 class _NullLearner:
     """Disabled learner sink — one attribute check per window, no state."""
@@ -531,9 +497,6 @@ class _NullLearner:
 
     def series(self, policy: str = "", capacity: int = 0) -> LearnerSeries:
         return LearnerSeries(policy=policy, capacity=capacity)
-
-    def snapshot(self) -> dict:
-        return {"cells": [], "live": {"windows": 0}}
 
 
 #: Shared disabled learner sink; the default on every Observation.

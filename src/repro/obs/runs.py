@@ -3,7 +3,7 @@
 Every ``simulate`` / ``compare`` / workload-lab / benchmark invocation
 can persist a :class:`RunRecord` — run id, UTC timestamp, git revision,
 config digest, final metrics snapshot, per-cell results, an event digest
-(drift/retrain/stall counts) and the per-window time series — into a
+(drift/retrain/failure counts) and the per-window time series — into a
 :class:`RunLedger` rooted at a directory.  The ledger is what makes the
 paper's longitudinal questions answerable *across* runs: LHR's
 advantage over LRU/HRO shows up in per-window hit-ratio trajectories
@@ -25,8 +25,7 @@ and a crashed writer leaves at worst an ignorable manifest-less
 directory.
 
 The consumer surface is the ``repro runs`` CLI family (``list`` /
-``show`` / ``diff`` / ``export`` / ``check`` / ``gc``), the
-``/runs`` endpoint on :class:`~repro.obs.server.ObsServer`, and the
+``show`` / ``diff`` / ``export`` / ``check`` / ``gc``) and the
 history-aware regression check in :mod:`repro.obs.baseline`
 (``repro bench-compare --ledger``).  See ``docs/OBSERVABILITY.md``.
 """
@@ -127,15 +126,13 @@ def digest_events(events) -> dict:
     """Fold an event stream into the ledger's compact activity digest.
 
     Counts the learner lifecycle (windows inspected / drift detections /
-    retrains) and the sweep failure modes (stalled and failed cells) —
-    the numbers SLO rules and cross-run diffs care about, without
-    persisting the full stream.
+    retrains) and failed sweep cells — the numbers SLO rules and
+    cross-run diffs care about, without persisting the full stream.
     """
     digest = {
         "drift_windows": 0,
         "drift_detections": 0,
         "retrains": 0,
-        "stalls": 0,
         "failures": 0,
     }
     for event in events or ():
@@ -146,8 +143,6 @@ def digest_events(events) -> dict:
                 digest["drift_detections"] += 1
         elif kind == "lhr.retrain":
             digest["retrains"] += 1
-        elif kind == "sweep.cell_stalled":
-            digest["stalls"] += 1
         elif kind == "sweep.cell_failed":
             digest["failures"] += 1
     return digest
@@ -221,7 +216,7 @@ class RunRecord:
         }
 
     def summary(self) -> dict:
-        """One ``repro runs list`` / ``/runs`` row."""
+        """One ``repro runs list`` row."""
         return {
             "run_id": self.run_id,
             "created_utc": self.created_utc,
@@ -566,7 +561,7 @@ class RunLedger:
         return out
 
     def summaries(self, limit: int = 0) -> list[dict]:
-        """``repro runs list`` / ``/runs`` rows, oldest first."""
+        """``repro runs list`` rows, oldest first."""
         rows = [record.summary() for record in self.records()]
         return rows[-limit:] if limit else rows
 

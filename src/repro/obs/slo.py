@@ -1,7 +1,7 @@
 """Declarative SLOs over run-ledger records.
 
 An :class:`SloSpec` is a small JSON document — hit-ratio floors per
-policy/scenario, retrain-rate ceilings, runtime budgets, a stall-count
+policy/scenario, retrain-rate ceilings, runtime budgets, a failed-cell
 cap — evaluated against one :class:`~repro.obs.runs.RunRecord` by
 ``repro runs check``.  Exit-code semantics match ``bench-compare``:
 0 when every rule holds, 1 on any violation (or ``--warn-only``).
@@ -14,7 +14,7 @@ Spec format (``schema: repro-slo/1``)::
         {"metric": "object_hit_ratio", "min": 0.25, "policy": "lhr"},
         {"metric": "retrains", "max": 5, "scenario": "churn"},
         {"metric": "wall_seconds", "max": 60},
-        {"metric": "stalls", "max": 0}
+        {"metric": "failures", "max": 0}
       ]
     }
 
@@ -24,8 +24,8 @@ Cell-scope metrics (``object_hit_ratio``, ``byte_hit_ratio``,
 optional ``policy`` / ``scenario`` / ``capacity`` selectors; a rule
 that matches no cells *fails* (a missing cell must never pass a floor
 silently).  Run-scope metrics (``wall_seconds`` from the metrics
-snapshot; ``stalls`` and ``failures`` from the event digest) are
-checked once per run and reject selectors.  The learner-activity
+snapshot; ``failures`` from the event digest) are checked once per run
+and reject selectors.  The learner-activity
 metrics (``retrains``, ``drift_windows``, ``drift_detections``) exist
 at both scopes: with a selector they read each matched cell's counts
 (workload-lab records carry them per cell), without one they read the
@@ -58,7 +58,6 @@ CELL_METRICS = (
 
 #: Metrics read once per run, from the event digest...
 RUN_EVENT_METRICS = (
-    "stalls",
     "failures",
     "retrains",
     "drift_windows",
@@ -312,8 +311,8 @@ def _check_run_rule(rule: SloRule, record) -> RuleResult:
     if rule.metric in RUN_EVENT_METRICS:
         source = record.events
         detail = "event digest"
-        if not source.get("events_observed", True) and rule.metric != "stalls":
-            # An unobserved run has no drift/retrain stream to bound.
+        if not source.get("events_observed", True):
+            # An unobserved run has no event stream to bound.
             return RuleResult(
                 rule=rule,
                 ok=False,

@@ -1,13 +1,12 @@
 """Span-based timeline tracing: who ran what, when, in which process.
 
 Histograms (:mod:`repro.obs.registry`) answer "how much total time did
-GBM refits take"; sampled stacks (:mod:`repro.obs.profile`) answer
-"which frames are hot".  Neither can answer *when* — which sweep worker
-sat idle, which cell straggled, how a refit lands relative to a window
-close.  Spans do: a :class:`SpanRecorder` records begin/end pairs on the
-monotonic clock with a name, a category, freeform attributes and a
-parent (the innermost span open on the same thread), and the recorded
-timeline exports to Chrome trace-event JSON (loadable in Perfetto or
+GBM refits take", but not *when* — which sweep worker sat idle, which
+cell straggled, how a refit lands relative to a window close.  Spans
+do: a :class:`SpanRecorder` records begin/end pairs on the monotonic
+clock with a name, a category, freeform attributes and a parent (the
+innermost span open on the same thread), and the recorded timeline
+exports to Chrome trace-event JSON (loadable in Perfetto or
 ``chrome://tracing``) or feeds :mod:`repro.obs.timeline` for critical-
 path and straggler analysis.
 
@@ -27,8 +26,8 @@ Design constraints:
   which all processes of one boot share, so driver and worker spans
   align without clock translation.
 * **Thread-correct nesting** — the open-span stack is thread-local, so
-  spans begun on the heartbeat drainer never adopt the driver's replay
-  span as a parent.
+  spans begun on another thread never adopt the driver's replay span as
+  a parent.
 
 See ``docs/OBSERVABILITY.md`` ("Timeline tracing") for the span catalog
 and CLI usage (``--trace-out``, ``repro timeline``).

@@ -12,14 +12,10 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(
         "repro.sim.hitrate_curve": (
             "HitRateCurve", "ReuseDistanceAnalyzer", "lru_hit_rate_curve",
         ),
-        "repro.sim.metrics": (
-            "SimulationResult", "WindowMetrics", "grid_order", "merge_sweeps",
-        ),
+        "repro.sim.metrics": ("SimulationResult", "WindowMetrics", "grid_order"),
         "repro.sim.network": ("LatencyReport", "NetworkModel", "measure_latency"),
         "repro.sim.parallel": (
-            "CellFailure", "CellSpec", "SweepCellError", "merge_shard_results",
-            "run_sharded", "run_sweep", "shard_assignments", "shard_capacities",
-            "shard_of",
+            "CellFailure", "CellSpec", "SweepCellError", "run_sweep",
         ),
         "repro.sim.replication": ("ReplicatedResult", "replicate_comparison"),
         "repro.sim.runner": (

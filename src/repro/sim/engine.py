@@ -7,16 +7,12 @@ including LHR and the prototype emulations.
 
 The function is worker-safe: it holds no module-level mutable state and
 touches nothing but its arguments, so :mod:`repro.sim.parallel` can call
-it from forked or spawned processes.  The replay loop itself lives in
-``replay_into`` so callers that manage their own ``SimulationResult``
-(resumable runs, shared-result accumulation) can reuse it.
+it from forked or spawned processes.
 """
 
 from __future__ import annotations
 
 import time
-
-import numpy as np
 
 from repro.obs import NULL_OBS, Observation
 from repro.obs.trace import DecisionTracer
@@ -34,9 +30,6 @@ def simulate(
     metadata_probe_interval: int = 1000,
     obs: Observation = NULL_OBS,
     tracer: DecisionTracer | None = None,
-    heartbeat=None,
-    heartbeat_interval: int = 0,
-    positions=None,
 ) -> SimulationResult:
     """Run ``policy`` over ``trace``.
 
@@ -47,10 +40,10 @@ def simulate(
     trace:
         The request stream — a ``Trace`` or a columnar
         :class:`~repro.traces.packed.PackedTrace`.  Both replay through
-        the same chunked loop (``replay_into``); a ``Trace`` is packed
-        first.  Which code runs per request — a native span kernel or
-        ``request`` itself — depends only on the policy and on whether a
-        tracer is attached, never on the trace's form or on ``obs``.
+        the same chunked loop; a ``Trace`` is packed first.  Which code
+        runs per request — a native span kernel or ``request`` itself —
+        depends only on the policy and on whether a tracer is attached,
+        never on the trace's form or on ``obs``.
     window_requests:
         If > 0, collect per-window hit series every this many requests
         (the Figure 7 time series).
@@ -75,150 +68,33 @@ def simulate(
         policy for the replay — every request's admission verdict, its
         inputs and eviction victims are recorded, and the tracer's miss
         taxonomy covers the whole trace (warmup included).
-    heartbeat / heartbeat_interval:
-        When ``heartbeat_interval > 0``, call ``heartbeat(requests_done)``
-        every that many replayed requests — the hook live progress rides
-        on (sweep worker heartbeats, the CLI's ``--serve`` progress).
-        Disabled (interval 0) the loop carries only a falsy-int check
-        per chunk, like the window rollover guard.
-    positions:
-        Optional request indices into ``trace``, strictly increasing:
-        only those requests are replayed (one hash shard of
-        :func:`~repro.sim.parallel.run_sharded`).  Windows, warmup,
-        metadata probes and heartbeats stay on the trace's own index
-        grid; ``requests``, every window's ``requests`` and the heartbeat
-        argument count replayed requests only, and every window of the
-        grid is reported, empty or not.  ``None`` (the default) replays
-        every request.  Anything but 1-D integers in ``[0, len(trace))``
-        raises ``ValueError``.
-    """
-    check_replay_args(len(trace), window_requests, warmup_requests)
-    if heartbeat_interval < 0:
-        raise ValueError("heartbeat_interval must be non-negative")
-    if heartbeat_interval and heartbeat is None:
-        raise ValueError("heartbeat_interval set without a heartbeat callable")
-    if positions is not None:
-        positions = _checked_positions(positions, len(trace))
-    result = SimulationResult(
-        policy=policy.name, trace=trace.name, capacity=policy.capacity
-    )
-    replay_into(
-        policy,
-        trace,
-        result,
-        window_requests=window_requests,
-        warmup_requests=warmup_requests,
-        metadata_probe_interval=metadata_probe_interval,
-        obs=obs,
-        tracer=tracer,
-        heartbeat=heartbeat,
-        heartbeat_interval=heartbeat_interval,
-        positions=positions,
-    )
-    return result
 
-
-def check_replay_args(
-    trace_length: int, window_requests: int = 0, warmup_requests: int = 0
-) -> None:
-    """Reject window and warmup settings no replay of a ``trace_length``
-    request trace can honour.
-
-    ``simulate`` calls this per replay and ``run_sweep`` once before any
-    cell starts, so a bad argument raises one ``ValueError`` up front
-    rather than failing every cell.  A warmup at or beyond the trace
-    length would silently produce empty aggregates.
-    """
-    if warmup_requests < 0:
-        raise ValueError("warmup_requests must be non-negative")
-    if window_requests < 0:
-        raise ValueError("window_requests must be non-negative")
-    if warmup_requests and warmup_requests >= trace_length:
-        raise ValueError(
-            f"warmup_requests ({warmup_requests}) must be smaller than the "
-            f"trace ({trace_length} requests); nothing would be measured"
-        )
-
-
-def _checked_positions(positions, trace_length: int) -> np.ndarray:
-    """``positions`` as an index array, or ``ValueError`` unless it is a
-    1-D, strictly increasing run of integers in ``[0, trace_length)``."""
-    positions = np.asarray(positions)
-    if positions.ndim != 1 or (positions.size and positions.dtype.kind not in "iu"):
-        raise ValueError("positions must be a 1-D array of integer request indices")
-    if positions.size:
-        if not (positions[1:] > positions[:-1]).all():
-            raise ValueError("positions must be strictly increasing")
-        if positions[0] < 0 or positions[-1] >= trace_length:
-            raise ValueError(
-                f"positions must lie in [0, {trace_length}), the trace's "
-                "request indices"
-            )
-    return positions.astype(np.intp, copy=False)
-
-
-def _emit_window(obs: Observation, window: WindowMetrics) -> None:
-    obs.emit(
-        "sim.window",
-        index=window.index,
-        requests=window.requests,
-        hits=window.hits,
-        hit_bytes=window.hit_bytes,
-        total_bytes=window.total_bytes,
-        hit_ratio=round(window.hit_ratio, 6),
-        evictions=window.evictions,
-    )
-
-
-def replay_into(
-    policy: CachePolicy,
-    trace: Trace | PackedTrace,
-    result: SimulationResult,
-    window_requests: int = 0,
-    warmup_requests: int = 0,
-    metadata_probe_interval: int = 1000,
-    obs: Observation = NULL_OBS,
-    tracer: DecisionTracer | None = None,
-    heartbeat=None,
-    heartbeat_interval: int = 0,
-    positions: np.ndarray | None = None,
-) -> SimulationResult:
-    """The replay loop: feed ``trace`` through ``policy`` and accumulate
-    into ``result``.
-
-    Assumes arguments were validated by the caller (``simulate`` does).
-    A ``Trace`` is packed first.  The loop walks the trace's index grid
-    in chunks whose boundaries land exactly on every bookkeeping point —
-    metadata probes after index ``i % interval == 0``, window rollovers
-    every ``window_requests``, heartbeats at ``(i + 1) %
-    heartbeat_interval == 0`` and the warmup edge — and hands each chunk
-    to ``policy.replay_span`` in one call, so span-kernel policies pay
-    Python dispatch per chunk, not per request.  All aggregate and
-    window accounting is reconstructed from the policy's own monotone
-    counters as deltas at those boundaries: every request adds its size
-    to exactly one of ``hit_bytes``/``miss_bytes``, so byte and hit
-    totals over any index range are counter differences.
-
-    With ``positions`` the columns are gathered to those requests first
-    and each chunk of the grid becomes the matching slice of the gathered
-    columns (located by ``searchsorted``); empty slices are skipped, so
-    ``replay_span`` and a walked policy's ``Request.index`` see positions
-    in the gathered subsequence.  A metadata probe fires after a chunk
-    whose last replayed request sits at a probe index, and heartbeats
-    report the requests replayed so far.
+    The loop walks the trace in chunks whose boundaries land exactly on
+    every bookkeeping point — metadata probes after index ``i % interval
+    == 0``, window rollovers every ``window_requests`` and the warmup
+    edge — and hands each chunk to ``policy.replay_span`` in one call, so
+    span-kernel policies pay Python dispatch per chunk, not per request.
+    All aggregate and window accounting is reconstructed from the
+    policy's own monotone counters as deltas at those boundaries: every
+    request adds its size to exactly one of ``hit_bytes``/``miss_bytes``,
+    so byte and hit totals over any index range are counter differences.
 
     ``replay_span`` is the policy's native span kernel or the base
     walker, which calls ``request`` per request.  Attaching ``tracer``
     pins the walker over an inlined classic kernel
     (``CachePolicy._pin_span_kernel``), and LHR's kernel walks
     ``request`` too, so decision records always come from ``request``
-    itself; ``obs`` never pins.  Everything
-    the loop records costs one check per chunk, never per request:
-    ``sim.window`` events at each window rollover while ``obs`` is
-    enabled, the ``sim.replay``/``sim.warmup``/``sim.window`` spans plus
-    one ``sim.chunk`` span per ``replay_span`` call while ``obs.spans``
-    records, and the ``sim_*`` registry metrics once at the end.
+    itself; ``obs`` never pins.  Everything the loop records costs one
+    check per chunk, never per request: ``sim.window`` events at each
+    window rollover while ``obs`` is enabled, the ``sim.replay``/
+    ``sim.warmup``/``sim.window`` spans plus one ``sim.chunk`` span per
+    ``replay_span`` call while ``obs.spans`` records, and the ``sim_*``
+    registry metrics once at the end.
     """
+    check_replay_args(len(trace), window_requests, warmup_requests)
+    result = SimulationResult(
+        policy=policy.name, trace=trace.name, capacity=policy.capacity
+    )
     observing = obs.enabled
     spans = obs.spans
     spans_on = spans.enabled
@@ -233,18 +109,10 @@ def replay_into(
         policy.attach_tracer(tracer)
     packed = trace if isinstance(trace, PackedTrace) else PackedTrace.from_trace(trace)
     total = len(packed)
-    if positions is None:
-        obj_ids, sizes, times = packed.scalar_columns()
-        replayed = total
-    else:
-        obj_ids = packed.obj_ids[positions].tolist()
-        sizes = packed.sizes[positions].tolist()
-        times = packed.times[positions].tolist()
-        replayed = len(obj_ids)
-        locate = positions.searchsorted
+    obj_ids, sizes, times = packed.scalar_columns()
     replay_span = policy.replay_span
     interval = metadata_probe_interval
-    warmup = min(warmup_requests, total)
+    warmup = warmup_requests
     replay_handle = warmup_handle = window_handle = None
     if spans_on:
         replay_handle = spans.begin(
@@ -252,13 +120,13 @@ def replay_into(
             cat="sim",
             policy=policy.name,
             trace=packed.name,
-            requests=replayed,
+            requests=total,
             packed=True,
         )
         if warmup:
             warmup_handle = spans.begin("sim.warmup", cat="sim", requests=warmup)
     # Measured-aggregate base: counters at the warmup edge (policies may
-    # enter with non-zero totals; resumable replays accumulate).
+    # enter with non-zero totals).
     base_hits = policy.hits
     base_hit_bytes = policy.hit_bytes
     base_bytes = policy.hit_bytes + policy.miss_bytes
@@ -268,7 +136,7 @@ def replay_into(
     start = time.perf_counter()
     peak_metadata = 0
     measured_from = 0
-    i = lo = 0
+    i = 0
     while i < total:
         stop = total
         if interval:
@@ -287,7 +155,7 @@ def replay_into(
                     )
                 window = WindowMetrics(index=len(result.windows))
                 result.windows.append(window)
-                window_begin = lo
+                window_begin = i
                 win_hits = policy.hits
                 win_hit_bytes = policy.hit_bytes
                 win_bytes = policy.hit_bytes + policy.miss_bytes
@@ -295,54 +163,42 @@ def replay_into(
             boundary = (i // window_requests + 1) * window_requests
             if boundary < stop:
                 stop = boundary
-        if heartbeat_interval:
-            boundary = (i // heartbeat_interval + 1) * heartbeat_interval
-            if boundary < stop:
-                stop = boundary
         if i < warmup < stop:
             stop = warmup
-        hi = stop if positions is None else int(locate(stop))
-        if hi > lo:
-            if spans_on:
-                chunk = spans.begin("sim.chunk", cat="sim", start=i, stop=stop)
-                replay_span(obj_ids, sizes, times, lo, hi)
-                spans.end(chunk)
-            else:
-                replay_span(obj_ids, sizes, times, lo, hi)
-            # A chunk holds at most one probe index, and only as its last.
-            if (
-                interval
-                and (stop - 1) % interval == 0
-                and (positions is None or positions[hi - 1] == stop - 1)
-            ):
-                metadata = policy.metadata_bytes()
-                if metadata > peak_metadata:
-                    peak_metadata = metadata
+        if spans_on:
+            chunk = spans.begin("sim.chunk", cat="sim", start=i, stop=stop)
+            replay_span(obj_ids, sizes, times, i, stop)
+            spans.end(chunk)
+        else:
+            replay_span(obj_ids, sizes, times, i, stop)
+        # A chunk holds at most one probe index, and only as its last.
+        if interval and (stop - 1) % interval == 0:
+            metadata = policy.metadata_bytes()
+            if metadata > peak_metadata:
+                peak_metadata = metadata
         if window is not None:
-            window.requests = hi - window_begin
+            window.requests = stop - window_begin
             window.hits = policy.hits - win_hits
             window.hit_bytes = policy.hit_bytes - win_hit_bytes
             window.total_bytes = policy.hit_bytes + policy.miss_bytes - win_bytes
             window.evictions = policy.evictions - win_evictions
         if stop == warmup:
-            measured_from = hi
+            measured_from = stop
             base_hits = policy.hits
             base_hit_bytes = policy.hit_bytes
             base_bytes = policy.hit_bytes + policy.miss_bytes
             if warmup_handle is not None:
                 spans.end(warmup_handle)
                 warmup_handle = None
-        if heartbeat_interval and stop % heartbeat_interval == 0:
-            heartbeat(hi)
-        i, lo = stop, hi
+        i = stop
     result.runtime_seconds = time.perf_counter() - start
     result.peak_metadata_bytes = max(peak_metadata, policy.metadata_bytes())
     result.evictions = policy.evictions
     result.admissions = policy.admissions
-    result.requests += replayed - measured_from
-    result.hits += policy.hits - base_hits
-    result.hit_bytes += policy.hit_bytes - base_hit_bytes
-    result.total_bytes += policy.hit_bytes + policy.miss_bytes - base_bytes
+    result.requests = total - measured_from
+    result.hits = policy.hits - base_hits
+    result.hit_bytes = policy.hit_bytes - base_hit_bytes
+    result.total_bytes = policy.hit_bytes + policy.miss_bytes - base_bytes
     if spans_on:
         if window_handle is not None:
             spans.end(window_handle)
@@ -378,3 +234,38 @@ def replay_into(
         # carry it across the worker->driver pipe like decision traces.
         result.learner = obs.learner.series(policy.name, policy.capacity)
     return result
+
+
+def check_replay_args(
+    trace_length: int, window_requests: int = 0, warmup_requests: int = 0
+) -> None:
+    """Reject window and warmup settings no replay of a ``trace_length``
+    request trace can honour.
+
+    ``simulate`` calls this per replay and ``run_sweep`` once before any
+    cell starts, so a bad argument raises one ``ValueError`` up front
+    rather than failing every cell.  A warmup at or beyond the trace
+    length would silently produce empty aggregates.
+    """
+    if warmup_requests < 0:
+        raise ValueError("warmup_requests must be non-negative")
+    if window_requests < 0:
+        raise ValueError("window_requests must be non-negative")
+    if warmup_requests and warmup_requests >= trace_length:
+        raise ValueError(
+            f"warmup_requests ({warmup_requests}) must be smaller than the "
+            f"trace ({trace_length} requests); nothing would be measured"
+        )
+
+
+def _emit_window(obs: Observation, window: WindowMetrics) -> None:
+    obs.emit(
+        "sim.window",
+        index=window.index,
+        requests=window.requests,
+        hits=window.hits,
+        hit_bytes=window.hit_bytes,
+        total_bytes=window.total_bytes,
+        hit_ratio=round(window.hit_ratio, 6),
+        evictions=window.evictions,
+    )

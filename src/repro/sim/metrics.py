@@ -9,7 +9,7 @@ series (Figure 7), runtime and metadata overhead (Figure 9).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 
@@ -52,7 +52,6 @@ class SimulationResult:
     runtime_seconds: float = 0.0
     peak_metadata_bytes: int = 0
     windows: list[WindowMetrics] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
     #: The run's :class:`~repro.obs.trace.DecisionTracer`, when the
     #: simulation was traced (``simulate(..., tracer=...)`` or a sweep
     #: with ``trace_config``); ``None`` otherwise.  Rides the result
@@ -122,7 +121,6 @@ class SimulationResult:
             "evictions": self.evictions,
             "runtime_seconds": round(self.runtime_seconds, 3),
             "peak_metadata_mb": round(self.peak_metadata_bytes / (1 << 20), 3),
-            **self.extra,
         }
 
 
@@ -136,14 +134,3 @@ def grid_order(results: Iterable[SimulationResult]) -> list[SimulationResult]:
     """
     return sorted(results, key=lambda result: result.cell_index)
 
-
-def merge_sweeps(
-    *sweeps: Sequence[SimulationResult],
-) -> list[SimulationResult]:
-    """Concatenate several sweeps, reindexing cells into one global grid."""
-    merged: list[SimulationResult] = []
-    for sweep in sweeps:
-        for result in grid_order(sweep):
-            result.cell_index = len(merged)
-            merged.append(result)
-    return merged

@@ -2,9 +2,7 @@
 
 Every headline experiment is a grid of independent (policy, capacity)
 simulations over one shared trace; this module fans those cells out to
-worker processes.  A hash shard of one trace (:func:`run_sharded`) is
-one more cell: it replays its slice of the object-id space through the
-same engine loop, worker entry and pool.  Design constraints, in order:
+worker processes.  Design constraints, in order:
 
 * **Determinism** — results are bit-identical to a serial sweep and come
   back in grid order (the order of the input specs) regardless of which
@@ -30,14 +28,6 @@ same engine loop, worker entry and pool.  Design constraints, in order:
   (policy name, capacity and full traceback) and reported after every
   sibling cell has finished; one bad cell never hangs the pool or
   corrupts the others' results.
-* **Live progress (opt-in)** — given a
-  :class:`~repro.obs.server.ProgressTracker`, workers post periodic
-  heartbeats (cell id, requests replayed, running hit ratio, RSS) over a
-  manager queue; the driver drains them into the tracker (and through it
-  the metrics registry behind ``--serve``'s ``/progress`` and
-  ``/metrics``) and emits a ``sweep.cell_stalled`` event when a running
-  cell goes silent past the stall timeout.  With no tracker the sweep
-  runs exactly the seed code path: no queue, no threads, no events.
 * **One timeline (opt-in)** — when the driver's observation carries an
   enabled span recorder (``--trace-out``), every cell additionally runs
   under a worker-local :class:`~repro.obs.spans.SpanRecorder`; the span
@@ -49,26 +39,18 @@ same engine loop, worker entry and pool.  Design constraints, in order:
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_module
-import threading
-import time
 import traceback
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.obs import NULL_OBS, MemoryRecorder, MetricsRegistry, Observation
 from repro.obs.learner import LearnerTelemetry
 from repro.obs.spans import SpanRecorder
 from repro.obs.trace import TraceConfig
 from repro.sim.engine import check_replay_args, simulate
-from repro.sim.metrics import SimulationResult, WindowMetrics, grid_order
-from repro.util.bloom import _mix64, mix64_column
+from repro.sim.metrics import SimulationResult, grid_order
 from repro.traces.packed import (
     PackedTrace,
     SharedTraceBuffers,
@@ -76,17 +58,6 @@ from repro.traces.packed import (
     attach_shared_trace,
 )
 from repro.traces.request import Trace
-
-if TYPE_CHECKING:
-    # The live exporter's module is imported only where a sweep runs with
-    # a tracker or heartbeats, never on the plain replay path.
-    from repro.obs.server import ProgressTracker
-
-#: Default worker heartbeat cadence, in replayed requests per cell.
-DEFAULT_HEARTBEAT_INTERVAL = 1000
-
-#: Default seconds of worker silence before a cell is reported stalled.
-DEFAULT_STALL_TIMEOUT = 30.0
 
 
 #: Every registered policy name, slowest sweep cell first: the order in
@@ -112,12 +83,7 @@ __all__ = [
     "PackedTrace",  # re-exported; the class lives in repro.traces.packed
     "SLOWEST_FIRST",
     "SweepCellError",
-    "merge_shard_results",
-    "run_sharded",
     "run_sweep",
-    "shard_assignments",
-    "shard_capacities",
-    "shard_of",
     "start_order",
 ]
 
@@ -129,16 +95,13 @@ class CellSpec:
     ``kwargs`` is stored as a sorted item tuple so specs pickle
     deterministically and never depend on dict insertion order.
     ``index`` is the cell's position in the grid; results are returned
-    sorted by it.  With ``shards > 1`` the cell replays only the requests
-    whose object id hashes to ``shard`` (see :func:`run_sharded`).
+    sorted by it.
     """
 
     policy: str
     capacity: int
     kwargs: tuple[tuple[str, object], ...] = ()
     index: int = -1
-    shard: int = 0
-    shards: int = 1
 
     @classmethod
     def make(
@@ -161,7 +124,7 @@ class CellSpec:
 def start_order(specs: Sequence[CellSpec]) -> list[CellSpec]:
     """``specs`` in the order a pool starts them: the slowest policy first
     (by :data:`SLOWEST_FIRST`), grid order (``CellSpec.index``) among
-    cells of one policy, shards included.  A policy not in the ranking
+    cells of one policy.  A policy not in the ranking
     has no measured cost, so it is treated as the slowest: started first,
     it cannot become the tail."""
     return sorted(
@@ -223,26 +186,19 @@ _WORKER_TRACE: PackedTrace | None = None
 #: worker's lifetime because dropping it invalidates the mapped columns.
 _WORKER_SHM = None
 
-#: The heartbeat queue (a manager-queue proxy), installed alongside the
-#: trace when the driver monitors progress; None otherwise.
-_WORKER_HEARTBEAT_QUEUE = None
 
-
-def _init_worker(packed: PackedTrace, heartbeat_queue=None) -> None:
-    global _WORKER_TRACE, _WORKER_HEARTBEAT_QUEUE
+def _init_worker(packed: PackedTrace) -> None:
+    global _WORKER_TRACE
     _WORKER_TRACE = packed
-    _WORKER_HEARTBEAT_QUEUE = heartbeat_queue
 
 
-def _init_worker_shared(
-    descriptor: SharedTraceDescriptor, heartbeat_queue=None
-) -> None:
+def _init_worker_shared(descriptor: SharedTraceDescriptor) -> None:
     """Pool initializer for the zero-copy path: map the driver's shared
     segment read-only instead of unpickling a trace copy."""
     global _WORKER_SHM
     packed, shm = attach_shared_trace(descriptor)
     _WORKER_SHM = shm
-    _init_worker(packed, heartbeat_queue)
+    _init_worker(packed)
 
 
 #: One worker cell's outcome:
@@ -260,52 +216,12 @@ CellOutcome = tuple[
 ]
 
 
-def _heartbeat_for(spec: CellSpec, policy, interval: int, sink):
-    """Build the engine heartbeat callback for one cell, or None.
-
-    ``sink`` is a callable taking the heartbeat dict (the inline path
-    feeds the tracker directly); when absent, the worker's manager-queue
-    proxy is used.  Queue posts are fire-and-forget: a full or broken
-    queue drops the heartbeat rather than perturbing the simulation.
-    """
-    if interval <= 0:
-        return None
-    from repro.obs.server import current_rss_bytes
-
-    if sink is None:
-        hb_queue = _WORKER_HEARTBEAT_QUEUE
-        if hb_queue is None:
-            return None
-
-        def sink(message, _queue=hb_queue):
-            try:
-                _queue.put_nowait(message)
-            except Exception:  # noqa: BLE001 — monitoring must never kill a cell
-                pass
-
-    def heartbeat(requests_done: int) -> None:
-        sink(
-            {
-                "cell": spec.index,
-                "requests": requests_done,
-                "hits": policy.hits,
-                "hit_ratio": policy.object_hit_ratio,
-                "evictions": policy.evictions,
-                "rss_bytes": current_rss_bytes(),
-            }
-        )
-
-    return heartbeat
-
-
 def _run_cell(
     spec: CellSpec,
     window_requests: int,
     warmup_requests: int,
     observe: bool,
     trace_config: TraceConfig | None = None,
-    heartbeat_interval: int = 0,
-    heartbeat_sink=None,
     record_spans: bool = False,
     record_learner: bool = False,
 ) -> CellOutcome:
@@ -319,9 +235,7 @@ def _run_cell(
     ``trace_config`` is set, the cell runs under a worker-local
     :class:`~repro.obs.trace.DecisionTracer` that ships back attached to
     the result (``result.decision_trace``) — results are grid-ordered,
-    so the per-cell traces merge back exactly like recorders do.  A
-    positive ``heartbeat_interval`` posts progress every that many
-    requests (to ``heartbeat_sink``, or the worker's queue).
+    so the per-cell traces merge back exactly like recorders do.
 
     When ``record_spans`` is set, the cell runs with a local
     :class:`~repro.obs.spans.SpanRecorder` — created here, *after* any
@@ -339,10 +253,6 @@ def _run_cell(
     Like spans, learner telemetry alone ships no events or metrics.
     No observation changes which code a cell runs: only ``trace_config``
     pins the base walker, over an inlined classic kernel.
-
-    A shard cell (``spec.shards > 1``) recomputes its request positions
-    from the worker's id column, so no index array crosses the pipe, and
-    its failure message names the shard.
     """
     span_recorder = SpanRecorder(role="worker") if record_spans else None
     learner = LearnerTelemetry() if record_learner else None
@@ -371,22 +281,13 @@ def _run_cell(
         else None
     )
     try:
-        policy = spec.build()
-        heartbeat = _heartbeat_for(spec, policy, heartbeat_interval, heartbeat_sink)
-        positions = None
-        if spec.shards > 1:
-            assignment = shard_assignments(_WORKER_TRACE.obj_ids, spec.shards)
-            positions = np.flatnonzero(assignment == spec.shard)
         result = simulate(
-            policy,
+            spec.build(),
             _WORKER_TRACE,
             window_requests=window_requests,
             warmup_requests=warmup_requests,
             obs=cell_obs,
             tracer=trace_config.build() if trace_config is not None else None,
-            heartbeat=heartbeat,
-            heartbeat_interval=heartbeat_interval if heartbeat else 0,
-            positions=positions,
         )
         result.cell_index = spec.index
         events = cell_obs.recorder.events if observe else None
@@ -398,12 +299,11 @@ def _run_cell(
         spans = span_recorder.as_dicts() if span_recorder is not None else None
         return spec.index, result, None, events, registry, spans
     except BaseException as exc:  # noqa: BLE001 — must cross the pipe as data
-        shard = f"shard {spec.shard}/{spec.shards}: " if spec.shards > 1 else ""
         failure = CellFailure(
             index=spec.index,
             policy=spec.policy,
             capacity=spec.capacity,
-            error=f"{shard}{type(exc).__name__}: {exc}",
+            error=f"{type(exc).__name__}: {exc}",
             traceback=traceback.format_exc(),
         )
         events = cell_obs.recorder.events if observe else None
@@ -428,9 +328,6 @@ def run_sweep(
     mp_context=None,
     obs: Observation = NULL_OBS,
     trace_config: TraceConfig | None = None,
-    progress: ProgressTracker | None = None,
-    heartbeat_interval_requests: int = DEFAULT_HEARTBEAT_INTERVAL,
-    stall_timeout_seconds: float = DEFAULT_STALL_TIMEOUT,
     event_fields: dict | None = None,
 ) -> list[SimulationResult]:
     """Run every cell of ``specs`` over ``trace``; return grid-ordered results.
@@ -457,15 +354,6 @@ def run_sweep(
     each returned result carries its cell's tracer in
     ``result.decision_trace``, grid-ordered with the results themselves.
 
-    A ``progress`` tracker turns on live monitoring: the grid is
-    registered up front, every cell posts a heartbeat each
-    ``heartbeat_interval_requests`` replayed requests, and a running cell
-    silent for longer than ``stall_timeout_seconds`` raises a
-    ``sweep.cell_stalled`` event on ``obs`` (once per stall).  Heartbeats
-    feed only the tracker — never the recorder stream — so observed
-    serial/parallel equivalence is untouched, and with ``progress=None``
-    the sweep runs the exact unmonitored code path.
-
     ``event_fields`` stamps extra constant fields onto every event the
     sweep contributes to ``obs`` (cell lifecycle events and the re-merged
     worker streams alike).  The workload lab uses it to tag each sweep of
@@ -484,11 +372,6 @@ def run_sweep(
     if not specs:
         return []
 
-    if progress is not None:
-        progress.register_cells(
-            (spec.index, spec.policy, spec.capacity) for spec in specs
-        )
-
     observing = obs.enabled
     record_spans = obs.spans.enabled
     record_learner = obs.learner.enabled
@@ -503,9 +386,6 @@ def run_sweep(
                 **tag,
             )
 
-    heartbeat_interval = (
-        heartbeat_interval_requests if progress is not None else 0
-    )
     sweep_span = (
         obs.spans.begin(
             "sweep.run", cat="sweep", cells=len(specs), jobs=jobs or 1
@@ -517,16 +397,12 @@ def run_sweep(
         if jobs and jobs > 1:
             outcomes = _run_pooled(
                 trace, specs, window_requests, warmup_requests, jobs, mp_context,
-                observing, trace_config, progress, heartbeat_interval,
-                stall_timeout_seconds, obs, record_spans,
-                record_learner=record_learner,
+                observing, trace_config, obs, record_spans, record_learner,
             )
         else:
             outcomes = _run_inline(
                 trace, specs, window_requests, warmup_requests, observing,
-                trace_config, progress, heartbeat_interval,
-                record_spans=record_spans, record_learner=record_learner,
-                learner_hub=obs.learner if record_learner else None,
+                trace_config, record_spans, record_learner,
             )
 
         by_index = {outcome[0]: outcome for outcome in outcomes}
@@ -535,9 +411,7 @@ def run_sweep(
             # Worker->driver learner merge, grid-ordered: per-cell series
             # are independent and keyed by index, so absorption order
             # cannot change content — serial and parallel sweeps yield
-            # identical series.  (Arrival-time absorption in the runners
-            # already filed most cells for the live ``/learner`` view;
-            # this pass is the deterministic final word.)
+            # identical series.
             for spec in sorted(specs, key=lambda s: s.index):
                 result = by_index[spec.index][1]
                 if result is not None:
@@ -614,107 +488,26 @@ def _run_inline(
     warmup_requests: int,
     observe: bool,
     trace_config: TraceConfig | None = None,
-    progress: ProgressTracker | None = None,
-    heartbeat_interval: int = 0,
     record_spans: bool = False,
     record_learner: bool = False,
-    learner_hub=None,
 ) -> list[CellOutcome]:
     """Serial execution sharing the worker code path (and its capture).
-
-    With a tracker, heartbeats skip the queue and feed it directly.
-    ``learner_hub`` (the driver's learner sink) receives each cell's
-    series as the cell completes, so a live ``/learner`` scrape during a
-    serial sweep sees the finished cells.  A ``Trace`` is packed once
-    here, not once per cell."""
+    A ``Trace`` is packed once here, not once per cell."""
     global _WORKER_TRACE
     previous = _WORKER_TRACE
     _WORKER_TRACE = (
         trace if isinstance(trace, PackedTrace) else PackedTrace.from_trace(trace)
     )
-    sink = (
-        (lambda message: progress.heartbeat(**message))
-        if progress is not None
-        else None
-    )
     try:
-        outcomes = []
-        for spec in specs:
-            outcome = _run_cell(
+        return [
+            _run_cell(
                 spec, window_requests, warmup_requests, observe, trace_config,
-                heartbeat_interval=heartbeat_interval, heartbeat_sink=sink,
-                record_spans=record_spans, record_learner=record_learner,
+                record_spans, record_learner,
             )
-            if progress is not None:
-                _track_outcome(progress, outcome)
-            if learner_hub is not None and outcome[1] is not None:
-                learner_hub.absorb(outcome[0], outcome[1].learner)
-            outcomes.append(outcome)
-        return outcomes
+            for spec in specs
+        ]
     finally:
         _WORKER_TRACE = previous
-
-
-def _track_outcome(progress: ProgressTracker, outcome: CellOutcome) -> None:
-    """Mark one finished cell on the tracker from its outcome tuple."""
-    index, result, failure = outcome[0], outcome[1], outcome[2]
-    if failure is not None:
-        progress.cell_failed(index, error=failure.error)
-    elif result is not None:
-        progress.cell_done(
-            index,
-            requests=result.requests,
-            hit_ratio=result.object_hit_ratio,
-        )
-
-
-def _drain_heartbeats(
-    hb_queue,
-    progress: ProgressTracker,
-    stop_event: threading.Event,
-    stall_timeout_seconds: float,
-    obs: Observation,
-) -> None:
-    """Driver-side heartbeat pump: queue → tracker, plus stall checks.
-
-    Runs in a daemon thread for the lifetime of the pool; after the stop
-    event it keeps draining until the queue reads empty so no heartbeat
-    posted before the last cell finished is lost.
-    """
-    stopping = False
-    while True:
-        try:
-            message = hb_queue.get(timeout=0.2)
-        except queue_module.Empty:
-            if stopping:
-                return
-            stopping = stop_event.is_set()
-            _check_stalls(progress, stall_timeout_seconds, obs)
-            continue
-        except (EOFError, OSError, BrokenPipeError):
-            return  # manager shut down under us
-        try:
-            progress.heartbeat(**message)
-        except Exception:  # noqa: BLE001 — monitoring must not kill the drain
-            pass
-
-
-def _check_stalls(
-    progress: ProgressTracker, stall_timeout_seconds: float, obs: Observation
-) -> None:
-    if stall_timeout_seconds <= 0:
-        return
-    for stalled in progress.stalled_cells(stall_timeout_seconds):
-        if obs.enabled:
-            obs.emit(
-                "sweep.cell_stalled",
-                cell=stalled.cell.index,
-                policy=stalled.cell.policy,
-                capacity=stalled.cell.capacity,
-                seconds_since_heartbeat=round(
-                    stalled.seconds_since_heartbeat, 3
-                ),
-            )
 
 
 def _run_pooled(
@@ -726,9 +519,6 @@ def _run_pooled(
     mp_context,
     observe: bool,
     trace_config: TraceConfig | None = None,
-    progress: ProgressTracker | None = None,
-    heartbeat_interval: int = 0,
-    stall_timeout_seconds: float = DEFAULT_STALL_TIMEOUT,
     obs: Observation = NULL_OBS,
     record_spans: bool = False,
     record_learner: bool = False,
@@ -747,11 +537,6 @@ def _run_pooled(
     indices in start order) and the result drain in ``sweep.gather`` —
     the driver-lane complements to the workers' per-cell spans.
 
-    With a tracker, a ``Manager`` queue proxy ships to every worker via
-    the pool initializer (a plain ``multiprocessing.Queue`` cannot ride
-    ``initargs``) and a driver-side thread drains it into the tracker,
-    checking for stalled cells between reads.
-
     The driver owns the shared segment: the ``finally`` below releases it
     on normal completion, worker death (``BrokenProcessPool``) and
     ``KeyboardInterrupt`` alike — ``tests/sim/test_parallel.py`` checks
@@ -760,21 +545,6 @@ def _run_pooled(
     packed = trace if isinstance(trace, PackedTrace) else PackedTrace.from_trace(trace)
     workers = min(jobs, len(specs))
     outcomes: list[CellOutcome] = []
-
-    manager = None
-    hb_queue = None
-    drainer = None
-    stop_drain = threading.Event()
-    if progress is not None and heartbeat_interval > 0:
-        manager = (mp_context or multiprocessing).Manager()
-        hb_queue = manager.Queue()
-        drainer = threading.Thread(
-            target=_drain_heartbeats,
-            args=(hb_queue, progress, stop_drain, stall_timeout_seconds, obs),
-            name="repro-sweep-heartbeats",
-            daemon=True,
-        )
-        drainer.start()
     shared = None
     try:
         shared = SharedTraceBuffers.create(packed)
@@ -786,13 +556,12 @@ def _run_pooled(
     else:
         initializer = _init_worker
         payload = packed
-    initargs = (payload,) if hb_queue is None else (payload, hb_queue)
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=mp_context,
             initializer=initializer,
-            initargs=initargs,
+            initargs=(payload,),
         ) as pool:
             started = start_order(specs)
             scatter = (
@@ -809,8 +578,7 @@ def _run_pooled(
             futures = {
                 pool.submit(
                     _run_cell, spec, window_requests, warmup_requests,
-                    observe, trace_config, heartbeat_interval,
-                    record_spans=record_spans, record_learner=record_learner,
+                    observe, trace_config, record_spans, record_learner,
                 ): spec
                 for spec in started
             }
@@ -830,24 +598,12 @@ def _run_pooled(
                     # straggler cell instead of dead-ending at the wait.
                     obs.spans.absorb(outcome[5], parent=gather)
                     outcome = outcome[:5] + (None,)
-                if progress is not None:
-                    _track_outcome(progress, outcome)
-                if record_learner and outcome[1] is not None:
-                    # Arrival-time absorb for the live /learner view; the
-                    # grid-ordered pass in run_sweep re-files the same
-                    # per-cell series, so order here is immaterial.
-                    obs.learner.absorb(outcome[0], outcome[1].learner)
                 outcomes.append(outcome)
             if gather is not None:
                 obs.spans.end(gather, cells=len(outcomes))
     except BrokenProcessPool as exc:
         done = {outcome[0] for outcome in outcomes}
         missing = [spec for spec in specs if spec.index not in done]
-        if progress is not None:
-            for spec in missing:
-                progress.cell_failed(
-                    spec.index, error=f"worker process died: {exc}"
-                )
         failures = [
             CellFailure(
                 index=spec.index,
@@ -866,159 +622,4 @@ def _run_pooled(
     finally:
         if shared is not None:
             shared.release()
-        if drainer is not None:
-            stop_drain.set()
-            drainer.join(timeout=5.0)
-        if manager is not None:
-            manager.shutdown()
     return outcomes
-
-
-# ----------------------------------------------------------------------
-# Hash-sharded single-trace replay
-# ----------------------------------------------------------------------
-#
-# ``run_sweep`` parallelizes *across* grid cells; one huge cell still
-# replays serially.  ``run_sharded`` parallelizes *within* one cell by
-# partitioning the object-id space: requests hash-route to one of N
-# shards, each shard is an ordinary sweep cell (``CellSpec.shard``) whose
-# policy instance runs at its slice of the capacity, and the per-shard
-# counters merge back shard-ordered.
-#
-# Semantics, stated precisely:
-#
-# * The partition is a **deterministic pure function of the object id**
-#   (SplitMix64 mixing, never Python ``hash()``), so the same trace
-#   always splits the same way across runs, platforms and processes.
-# * A sharded replay is **not** bit-identical to the unsharded cache —
-#   eviction is a global competition that sharding decouples (except
-#   ``shards=1``, which is the unsharded replay exactly).  What *is*
-#   exact: sharded-parallel == sharded-serial, bit for bit, for every
-#   policy — each shard is self-contained, so execution order and
-#   process boundaries cannot change any counter.
-# * Window/warmup edges are **global**: a shard cell hands the engine
-#   its request indices (``simulate(..., positions=)``), and the engine
-#   keeps walking the whole trace's index grid, so the merged per-window
-#   series aligns with an unsharded run's reporting grid.
-#
-# The trace crosses the process boundary the same way every sweep cell's
-# does: one shared-memory segment, workers attach read-only and each
-# shard cell recomputes its positions from the shared id column
-# (vectorized, and cheaper than pickling index arrays).
-
-
-def shard_of(obj_id: int, shards: int) -> int:
-    """The shard owning ``obj_id`` — SplitMix64-mixed, mod ``shards``."""
-    return _mix64(obj_id & ((1 << 64) - 1)) % shards
-
-
-def shard_assignments(obj_ids, shards: int) -> np.ndarray:
-    """Vectorized :func:`shard_of` over an id column.
-
-    Bit-identical to the scalar form (``mix64_column`` wraps exactly
-    like the masked Python-int mixer; pinned by the sharded test
-    suite), so driver and workers always agree on the partition.
-    """
-    return (mix64_column(obj_ids) % np.uint64(shards)).astype(np.int64)
-
-
-def shard_capacities(capacity: int, shards: int) -> list[int]:
-    """Split ``capacity`` across ``shards``: ``capacity // shards`` each,
-    +1 byte for the first ``capacity % shards`` shards, so the slices
-    sum exactly to the original capacity."""
-    if shards <= 0:
-        raise ValueError("shards must be positive")
-    base, remainder = divmod(int(capacity), shards)
-    if base <= 0:
-        raise ValueError(
-            f"capacity {capacity} cannot be split into {shards} positive "
-            "shard capacities"
-        )
-    return [base + 1 if s < remainder else base for s in range(shards)]
-
-
-def merge_shard_results(
-    shard_results: Sequence[SimulationResult],
-    policy: str,
-    trace_name: str,
-    capacity: int,
-) -> SimulationResult:
-    """Fold per-shard results into one, shard-ordered.
-
-    Counters and per-window series are exact sums (every request lands
-    in exactly one shard).  ``peak_metadata_bytes`` is the *sum* of the
-    per-shard peaks — an upper bound on the true simultaneous footprint,
-    since shards may not peak at the same moment.  ``runtime_seconds``
-    is the slowest shard (the parallel wall-clock floor); the driver
-    overwrites it with measured wall clock.
-    """
-    ordered = sorted(shard_results, key=lambda r: r.cell_index)
-    merged = SimulationResult(policy=policy, trace=trace_name, capacity=capacity)
-    merged.extra["shards"] = len(ordered)
-    for result in ordered:
-        merged.requests += result.requests
-        merged.hits += result.hits
-        merged.hit_bytes += result.hit_bytes
-        merged.total_bytes += result.total_bytes
-        merged.evictions += result.evictions
-        merged.admissions += result.admissions
-        merged.peak_metadata_bytes += result.peak_metadata_bytes
-        merged.runtime_seconds = max(
-            merged.runtime_seconds, result.runtime_seconds
-        )
-        for k, window in enumerate(result.windows):
-            if k >= len(merged.windows):
-                merged.windows.append(WindowMetrics(index=k))
-            target = merged.windows[k]
-            target.requests += window.requests
-            target.hits += window.hits
-            target.hit_bytes += window.hit_bytes
-            target.total_bytes += window.total_bytes
-            target.evictions += window.evictions
-    return merged
-
-
-def run_sharded(
-    trace: Trace | PackedTrace,
-    policy: str,
-    capacity: int,
-    shards: int,
-    kwargs: dict | None = None,
-    window_requests: int = 0,
-    warmup_requests: int = 0,
-    jobs: int = 0,
-    mp_context=None,
-) -> SimulationResult:
-    """Replay one trace through one policy, hash-sharded ``shards`` ways.
-
-    Each shard is one :func:`run_sweep` cell, so ``jobs <= 1`` runs the
-    shards serially in-process and ``jobs > 1`` fans them out over the
-    sweep's process pool with the trace in one shared-memory segment
-    (pickled-arrays fallback where shared memory is unusable).  Either
-    way the merged result is bit-identical — each shard is an
-    independent policy instance over a deterministic slice of the id
-    space, so scheduling cannot perturb any counter.  ``shards=1``
-    reproduces the unsharded packed replay exactly.
-
-    Raises :class:`SweepCellError` after every shard has run if any
-    failed, with per-shard failures attached; the shared segment is
-    released on every exit path (``live_segment_names`` stays clean).
-    """
-    items = tuple(sorted((kwargs or {}).items()))
-    specs = [
-        CellSpec(policy, cap, items, index=s, shard=s, shards=shards)
-        for s, cap in enumerate(shard_capacities(capacity, shards))
-    ]
-    specs[0].build()  # fail fast in the driver on bad policy/kwargs
-    start = time.perf_counter()
-    results = run_sweep(
-        trace,
-        specs,
-        window_requests=window_requests,
-        warmup_requests=warmup_requests,
-        jobs=jobs if shards > 1 else 0,
-        mp_context=mp_context,
-    )
-    merged = merge_shard_results(results, policy, trace.name, capacity)
-    merged.runtime_seconds = time.perf_counter() - start
-    return merged

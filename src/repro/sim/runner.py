@@ -10,7 +10,6 @@ through the combined registry — the SOTA policies from
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
 
 from repro.core.lhr import DLhrCache, LhrCache, NLhrCache
 from repro.obs import NULL_OBS, Observation
@@ -18,17 +17,9 @@ from repro.obs.trace import TraceConfig
 from repro.policies import POLICY_REGISTRY, make_policy
 from repro.policies.base import CachePolicy
 from repro.sim.metrics import SimulationResult
-from repro.sim.parallel import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_STALL_TIMEOUT,
-    CellSpec,
-    run_sweep,
-)
+from repro.sim.parallel import CellSpec, run_sweep
 from repro.traces.packed import PackedTrace
 from repro.traces.request import Trace
-
-if TYPE_CHECKING:
-    from repro.obs.server import ProgressTracker
 
 _CORE_REGISTRY = {
     "lhr": LhrCache,
@@ -96,9 +87,6 @@ def run_comparison(
     mp_context=None,
     obs: Observation = NULL_OBS,
     trace_config: TraceConfig | None = None,
-    progress: ProgressTracker | None = None,
-    heartbeat_interval_requests: int = DEFAULT_HEARTBEAT_INTERVAL,
-    stall_timeout_seconds: float = DEFAULT_STALL_TIMEOUT,
     event_fields: dict | None = None,
 ) -> list[SimulationResult]:
     """Run every (policy, capacity) combination over ``trace``.
@@ -114,10 +102,9 @@ def run_comparison(
     :func:`repro.sim.parallel.run_sweep`); parallel and serial execution
     produce the same grid-ordered event stream.  ``trace_config`` runs
     every cell under its own decision tracer, returned on each result's
-    ``decision_trace``.  A ``progress`` tracker enables live heartbeats
-    and stall detection — the surface ``--serve`` exposes.
-    ``event_fields`` stamps constant fields onto every observed event
-    (the workload lab tags scenario-matrix sweeps with it).
+    ``decision_trace``.  ``event_fields`` stamps constant fields onto
+    every observed event (the workload lab tags scenario-matrix sweeps
+    with it).
     """
     specs = sweep_specs(policy_names, capacities, policy_kwargs)
     return run_sweep(
@@ -129,9 +116,6 @@ def run_comparison(
         mp_context=mp_context,
         obs=obs,
         trace_config=trace_config,
-        progress=progress,
-        heartbeat_interval_requests=heartbeat_interval_requests,
-        stall_timeout_seconds=stall_timeout_seconds,
         event_fields=event_fields,
     )
 

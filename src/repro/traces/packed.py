@@ -4,7 +4,7 @@
 ``(times, obj_ids, sizes)``, checked once against the trace input
 contract (:func:`checked_columns`):
 
-* :func:`repro.sim.engine.replay_into` replays every trace from these
+* :func:`repro.sim.engine.simulate` replays every trace from these
   columns, handing chunks to ``CachePolicy.replay_span`` — native span
   kernels allocate no per-request ``Request`` on the hot path,
 * it pickles in a few contiguous buffers instead of per-object records,

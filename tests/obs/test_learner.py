@@ -297,20 +297,6 @@ class TestLearnerTelemetry:
         )
         assert not NULL_LEARNER.enabled
         assert NULL_LEARNER.series().windows == 0
-        assert NULL_LEARNER.snapshot() == {
-            "cells": [], "live": {"windows": 0}
-        }
-
-    def test_snapshot_shape(self):
-        hub = LearnerTelemetry()
-        self._one_window(hub)
-        hub.absorb(0, hub.series("lhr", 4096))
-        snap = hub.snapshot()
-        assert snap["live"]["windows"] == 1
-        assert snap["live"]["last_alpha"] == pytest.approx(0.7)
-        (cell,) = snap["cells"]
-        assert cell["policy"] == "lhr"
-        assert cell["causes"] == {"first_window": 1}
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,6 @@ class TestProvenance:
             {"event": "lhr.drift", "drifted": False},
             {"event": "lhr.drift", "drifted": True},
             {"event": "lhr.retrain"},
-            {"event": "sweep.cell_stalled"},
             {"event": "sweep.cell_failed"},
             {"event": "sim.window"},  # unrelated events are ignored
         ]
@@ -71,7 +70,6 @@ class TestProvenance:
             "drift_windows": 2,
             "drift_detections": 1,
             "retrains": 1,
-            "stalls": 1,
             "failures": 1,
         }
         assert digest_events(None)["retrains"] == 0

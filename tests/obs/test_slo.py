@@ -47,7 +47,6 @@ def make_record(**overrides) -> RunRecord:
             "drift_windows": 5,
             "drift_detections": 2,
             "retrains": 3,
-            "stalls": 0,
             "failures": 0,
             "events_observed": True,
         },
@@ -73,7 +72,7 @@ class TestRuleValidation:
 
     def test_run_scope_metric_rejects_selector(self):
         with pytest.raises(ValueError, match="run-scoped"):
-            SloRule(metric="stalls", max=0, policy="lru")
+            SloRule(metric="failures", max=0, policy="lru")
         with pytest.raises(ValueError, match="run-scoped"):
             SloRule(metric="wall_seconds", max=10, scenario="churn")
 
@@ -83,7 +82,7 @@ class TestRuleValidation:
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown SLO rule field"):
-            SloRule.from_dict({"metric": "stalls", "max": 0, "severity": "high"})
+            SloRule.from_dict({"metric": "failures", "max": 0, "severity": "high"})
         with pytest.raises(ValueError, match="missing 'metric'"):
             SloRule.from_dict({"max": 0})
 
@@ -103,13 +102,13 @@ class TestSpec:
             json.dumps(
                 {
                     "schema": "repro-slo/1",
-                    "rules": [{"metric": "stalls", "max": 0}],
+                    "rules": [{"metric": "failures", "max": 0}],
                 }
             )
         )
         spec = SloSpec.from_file(path)
         assert spec.name == "prod.json"
-        assert spec.as_dict()["rules"] == [{"metric": "stalls", "max": 0}]
+        assert spec.as_dict()["rules"] == [{"metric": "failures", "max": 0}]
 
 
 class TestEvaluate:
@@ -117,7 +116,7 @@ class TestEvaluate:
         report = evaluate_slo(
             spec_of(
                 {"metric": "object_hit_ratio", "min": 0.3},
-                {"metric": "stalls", "max": 0},
+                {"metric": "failures", "max": 0},
                 {"metric": "wall_seconds", "max": 10},
                 {"metric": "retrains", "max": 5},
             ),
@@ -173,19 +172,17 @@ class TestEvaluate:
 
     def test_run_scope_reads_event_digest(self):
         record = make_record()
-        record.events["stalls"] = 2
-        report = evaluate_slo(spec_of({"metric": "stalls", "max": 0}), record)
+        record.events["failures"] = 2
+        report = evaluate_slo(spec_of({"metric": "failures", "max": 0}), record)
         assert not report.ok
         assert report.violations[0].observed == 2
 
     def test_unobserved_run_fails_event_rules(self):
         record = make_record()
-        record.events = {"events_observed": False, "stalls": 0}
+        record.events = {"events_observed": False, "failures": 0}
         report = evaluate_slo(spec_of({"metric": "retrains", "max": 5}), record)
         assert not report.ok
         assert "not observed" in report.violations[0].detail
-        # stalls come from the sweep layer, observed or not
-        assert evaluate_slo(spec_of({"metric": "stalls", "max": 0}), record).ok
 
     def test_requests_total_reads_metrics_snapshot(self):
         report = evaluate_slo(

@@ -12,7 +12,6 @@ engaged.  LHR's kernel walks ``request`` itself, so nothing pins it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -27,7 +26,6 @@ from repro.policies.base import CachePolicy
 from repro.policies.classic import LruCache
 from repro.policies.tinylfu import WTinyLfuCache
 from repro.sim import known_policies, run_comparison, simulate
-from repro.sim.engine import replay_into
 from repro.sim.metrics import SimulationResult, WindowMetrics
 from repro.sim.runner import build_policy
 from repro.traces.packed import PackedTrace
@@ -78,19 +76,11 @@ def lhr_spans(monkeypatch):
 def _oracle(
     policy, trace, window_requests=0, warmup_requests=0,
     metadata_probe_interval=1000, obs=NULL_OBS, tracer=None,
-    heartbeat=None, heartbeat_interval=0, positions=None,
 ):
     """Per-request reference replay: ``policy.request`` once per request
-    with the engine's window, warmup, metadata-probe and heartbeat
-    accounting.  With an enabled ``obs`` it emits ``sim.window`` at each
-    window rollover and for the last window, as the engine's replay loop
-    does.
-
-    ``positions`` replays only those requests, numbered by their place
-    in the subsequence; every other rule stays on the trace's own index
-    grid, and request counts (windows, aggregates, heartbeats) count
-    replayed requests only."""
-    replay = None if positions is None else set(positions)
+    with the engine's window, warmup and metadata-probe accounting.  With
+    an enabled ``obs`` it emits ``sim.window`` at each window rollover
+    and for the last window, as the engine's replay loop does."""
     if obs.enabled:
         policy.attach_observation(obs)
     if tracer is not None:
@@ -111,7 +101,6 @@ def _oracle(
     window = None
     evict_mark = 0
     peak_metadata = 0
-    replayed = 0
     for i, req in enumerate(trace):
         if window_requests and i % window_requests == 0:
             if window is not None:
@@ -121,27 +110,21 @@ def _oracle(
             evict_mark = policy.evictions
             window = WindowMetrics(index=len(result.windows))
             result.windows.append(window)
-        if replay is None or i in replay:
-            if replay is not None:
-                req = dataclasses.replace(req, index=replayed)
-            replayed += 1
-            hit = policy.request(req)
-            if i >= warmup_requests:
-                result.requests += 1
-                result.total_bytes += req.size
-                if hit:
-                    result.hits += 1
-                    result.hit_bytes += req.size
-            if window is not None:
-                window.requests += 1
-                window.total_bytes += req.size
-                if hit:
-                    window.hits += 1
-                    window.hit_bytes += req.size
-            if metadata_probe_interval and i % metadata_probe_interval == 0:
-                peak_metadata = max(peak_metadata, policy.metadata_bytes())
-        if heartbeat_interval and (i + 1) % heartbeat_interval == 0:
-            heartbeat(replayed)
+        hit = policy.request(req)
+        if i >= warmup_requests:
+            result.requests += 1
+            result.total_bytes += req.size
+            if hit:
+                result.hits += 1
+                result.hit_bytes += req.size
+        if window is not None:
+            window.requests += 1
+            window.total_bytes += req.size
+            if hit:
+                window.hits += 1
+                window.hit_bytes += req.size
+        if metadata_probe_interval and i % metadata_probe_interval == 0:
+            peak_metadata = max(peak_metadata, policy.metadata_bytes())
     result.peak_metadata_bytes = max(peak_metadata, policy.metadata_bytes())
     result.evictions = policy.evictions
     result.admissions = policy.admissions
@@ -222,33 +205,6 @@ def test_fast_path_matches_golden_fixture():
         ):
             assert pinned[key] == result.counters()[key], f"{name}.{key}"
         assert abs(pinned["object_hit_ratio"] - result.object_hit_ratio) < 1e-9
-
-
-def test_heartbeat_sequence_identical(fixture_trace, fixture_capacity):
-    packed = PackedTrace.from_trace(fixture_trace)
-    beats_ref, beats_fast = [], []
-    simulate(
-        _build("lru", fixture_capacity), fixture_trace,
-        heartbeat=beats_ref.append, heartbeat_interval=256,
-    )
-    simulate(
-        _build("lru", fixture_capacity), packed,
-        heartbeat=beats_fast.append, heartbeat_interval=256,
-    )
-    assert beats_ref == beats_fast
-    assert beats_ref  # the interval must actually fire
-
-
-def test_warmup_beyond_trace_measures_nothing(fixture_trace, fixture_capacity):
-    packed = PackedTrace.from_trace(fixture_trace)
-    result = SimulationResult(policy="lru", trace="golden", capacity=fixture_capacity)
-    replay_into(
-        _build("lru", fixture_capacity), packed, result,
-        warmup_requests=len(fixture_trace) + 50,
-    )
-    assert result.requests == 0
-    assert result.hits == 0
-    assert result.total_bytes == 0
 
 
 #: The classic policies whose ``replay_span`` inlines ``request`` and

@@ -1,18 +1,22 @@
 """Cache invariants at every chunk edge, over both golden corpora.
 
 The golden fixtures pin what each policy *did*; these properties say it
-stayed a cache while doing it.  A checker closes over the policy and
-rides the engine's heartbeat, which fires at chunk edges after the span
-kernel (or the base walker) has written its counters back, so every
-edge sees the exact state a replay stopped at.  At each edge, and once
-more after the replay:
+stayed a cache while doing it.  A checker hooks the policy's
+``metadata_bytes``, which the engine calls at each metadata probe — a
+chunk edge, after the span kernel (or the base walker) has written its
+counters back — and once more after the replay, so every probe sees the
+exact state a replay stopped at.  With no windows and no warmup, the
+probes are the only chunk edges: after requests 1, stride + 1,
+2·stride + 1, ....  At each of them, and at the end:
 
-* hits + misses = requests so far;
+* hits + misses = requests so far (the checker reads each edge as
+  hits + misses, and every run asserts that the edges it checked are
+  exactly the probe schedule);
 * hit bytes + miss bytes = bytes so far;
 * ``0 <= used_bytes == sum(cached_objects()) <= capacity``;
 * admissions - evictions = the number of cached objects.
 
-Each run draws its own heartbeat stride, so the edges land at different
+Each run draws its own probe stride, so the edges land at different
 places in every (policy, trace) pair.  Both corpora hold all four
 invariants for every registered policy, so there is no exception list.
 So does a trace whose contents change size, which is why the trace input
@@ -64,33 +68,44 @@ def corpus_traces() -> list[tuple[PackedTrace, int, dict]]:
     return traces
 
 
-def invariant_checker(policy, sizes):
-    """A heartbeat asserting the cache invariants after ``done`` requests
-    of a replay whose request sizes are ``sizes``."""
+def invariant_checker(policy, sizes) -> list[int]:
+    """Hook ``policy.metadata_bytes`` to assert the cache invariants each
+    time the engine probes it, in a replay whose request sizes are
+    ``sizes``.  Returns the list the hook fills with the number of
+    requests replayed at each probe."""
     bytes_so_far = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    metadata_bytes = policy.metadata_bytes
+    edges: list[int] = []
 
-    def check(done: int) -> None:
+    def probe() -> int:
+        done = policy.hits + policy.misses
         where = f"{policy.name} after {done} requests"
         cached = policy.cached_objects()
-        assert policy.hits + policy.misses == done, where
         assert policy.hit_bytes + policy.miss_bytes == bytes_so_far[done], where
         assert 0 <= policy.used_bytes == sum(cached.values()) <= policy.capacity, where
         assert policy.admissions - policy.evictions == len(cached), where
-        check.edges += 1
+        edges.append(done)
+        return metadata_bytes()
 
-    check.edges = 0
-    return check
+    policy.metadata_bytes = probe
+    return edges
+
+
+def probe_edges(total: int, stride: int) -> list[int]:
+    """The request counts a ``total``-request replay with metadata probe
+    interval ``stride`` probes at: after request indices 0, stride,
+    2·stride, ..., then once more at the end."""
+    return [*range(1, total + 1, stride), total]
 
 
 @pytest.mark.parametrize("name", known_policies())
 def test_invariants_hold_at_every_chunk_edge(name, corpus_traces):
     for trace, capacity, policy_kwargs in corpus_traces:
         policy = build_policy(name, capacity, **policy_kwargs.get(name, {}))
-        check = invariant_checker(policy, trace.sizes)
+        edges = invariant_checker(policy, trace.sizes)
         stride = random.Random(f"{trace.name}/{name}").randrange(1, 100)
-        simulate(policy, trace, heartbeat=check, heartbeat_interval=stride)
-        assert check.edges == len(trace) // stride
-        check(len(trace))
+        simulate(policy, trace, metadata_probe_interval=stride)
+        assert edges == probe_edges(len(trace), stride)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +134,6 @@ def resized_trace() -> tuple[PackedTrace, int]:
 def test_invariants_hold_when_contents_change_size(name, resized_trace):
     trace, capacity = resized_trace
     policy = build_policy(name, capacity, **GOLDEN["policy_kwargs"].get(name, {}))
-    check = invariant_checker(policy, trace.sizes)
-    simulate(policy, trace, heartbeat=check, heartbeat_interval=97)
-    check(len(trace))
+    edges = invariant_checker(policy, trace.sizes)
+    simulate(policy, trace, metadata_probe_interval=97)
+    assert edges == probe_edges(len(trace), 97)

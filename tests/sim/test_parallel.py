@@ -418,118 +418,6 @@ class TestDeterminism:
         assert [result_key(r) for r in runs[0]] == [result_key(r) for r in runs[1]]
 
 
-class TestSweepHeartbeats:
-    """Live-progress plumbing: heartbeats reach the tracker from both
-    execution paths, and monitoring never changes results."""
-
-    def _specs(self, sweep_capacity):
-        return [
-            CellSpec.make("lru", sweep_capacity, index=0),
-            CellSpec.make("fifo", sweep_capacity, index=1),
-        ]
-
-    def test_inline_heartbeats_feed_tracker(self, sweep_trace, sweep_capacity):
-        from repro.obs.server import ProgressTracker
-
-        tracker = ProgressTracker()
-        results = run_sweep(
-            sweep_trace,
-            self._specs(sweep_capacity),
-            progress=tracker,
-            heartbeat_interval_requests=100,
-        )
-        snap = tracker.snapshot()
-        assert snap["cells_done"] == 2
-        assert snap["cells_failed"] == 0
-        # Every cell replayed the whole trace and reported a final ratio.
-        for result, cell in zip(results, snap["cells"]):
-            assert cell["state"] == "done"
-            assert cell["requests"] == result.requests
-            # as_dict rounds ratios to 6 places for the JSON payload.
-            assert cell["hit_ratio"] == round(result.object_hit_ratio, 6)
-            assert cell["rss_bytes"] > 0  # at least one live heartbeat landed
-
-    @requires_fork
-    def test_pooled_heartbeats_cross_process_boundary(
-        self, sweep_trace, sweep_capacity
-    ):
-        from repro.obs.server import ProgressTracker
-
-        ctx = multiprocessing.get_context("fork")
-        tracker = ProgressTracker(registry=MetricsRegistry())
-        results = run_sweep(
-            sweep_trace,
-            self._specs(sweep_capacity),
-            jobs=2,
-            mp_context=ctx,
-            progress=tracker,
-            heartbeat_interval_requests=100,
-        )
-        snap = tracker.snapshot()
-        assert snap["cells_done"] == 2
-        assert snap["requests_replayed"] == sum(r.requests for r in results)
-        assert all(c["rss_bytes"] > 0 for c in snap["cells"])
-        assert tracker.registry.get("sweep_cells_done").value == 2
-
-    def test_progress_does_not_change_results(self, sweep_trace, sweep_capacity):
-        from repro.obs.server import ProgressTracker
-
-        specs = self._specs(sweep_capacity)
-        plain = run_sweep(sweep_trace, specs)
-        monitored = run_sweep(
-            sweep_trace,
-            specs,
-            progress=ProgressTracker(),
-            heartbeat_interval_requests=50,
-        )
-        assert [result_key(r) for r in plain] == [
-            result_key(r) for r in monitored
-        ]
-
-    def test_failed_cell_marked_on_tracker(self, sweep_trace, sweep_capacity):
-        from repro.obs.server import ProgressTracker
-
-        specs = [
-            CellSpec.make("lru", sweep_capacity, index=0),
-            CellSpec.make(
-                "lru", sweep_capacity, {"unknown_kwarg": True}, index=1
-            ),
-        ]
-        tracker = ProgressTracker()
-        with pytest.raises(SweepCellError):
-            run_sweep(
-                sweep_trace,
-                specs,
-                progress=tracker,
-                heartbeat_interval_requests=100,
-            )
-        snap = tracker.snapshot()
-        assert snap["cells_done"] == 1
-        assert snap["cells_failed"] == 1
-        failed = [c for c in snap["cells"] if c["state"] == "failed"]
-        assert failed and failed[0]["error"]
-
-    def test_no_tracker_means_no_heartbeat_machinery(
-        self, sweep_trace, sweep_capacity
-    ):
-        """With progress=None the engine gets interval 0 — the seed path."""
-        calls = []
-        import repro.sim.parallel as parallel_module
-
-        original = parallel_module._heartbeat_for
-
-        def spy(spec, policy, interval, sink):
-            calls.append(interval)
-            return original(spec, policy, interval, sink)
-
-        parallel_module._heartbeat_for = spy
-        try:
-            run_sweep(sweep_trace, self._specs(sweep_capacity))
-        finally:
-            parallel_module._heartbeat_for = original
-        assert calls == [0, 0]
-
-
 class TestSharedMemorySweep:
     """The zero-copy transport: pooled sweeps ship a descriptor, not the
     trace, and the driver never leaks a segment — normal exit, worker
@@ -733,15 +621,6 @@ class TestStartOrder:
         expected = [1, 4, 0, 2, 3, 5]
         assert [s.index for s in start_order(specs)] == expected
         assert [s.index for s in start_order(specs[::-1])] == expected
-
-    def test_shards_start_in_shard_order(self):
-        shards = [
-            CellSpec("lru", 100, index=s, shard=s, shards=3) for s in (2, 0, 1)
-        ]
-        lhd = CellSpec("lhd", 300, index=3)
-        assert [(s.policy, s.shard) for s in start_order([*shards, lhd])] == [
-            ("lhd", 0), ("lru", 0), ("lru", 1), ("lru", 2),
-        ]
 
     def test_unranked_policy_starts_first(self, exploding_policy):
         specs = sweep_specs(["lru", "lhr", exploding_policy], [1000])

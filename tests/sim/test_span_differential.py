@@ -15,18 +15,16 @@ for the LHR family, windows short enough to close and retrain the model
 inside a chunk.  B-LRU rotates its filter after four distinct keys, which
 happens inside a chunk in about three traces in ten.
 
-One level up, the engine's bookkeeping (windows, warmup, metadata
-probes, heartbeats and replayed ``positions``) is checked the same way:
-``simulate`` on the generated traces against the per-request oracle in
-``tests/sim/test_fastpath.py``, down to one-request windows and
-intervals, zero warmup and an empty subsequence.
+One level up, the engine's bookkeeping (windows, warmup and metadata
+probes) is checked the same way: ``simulate`` on the generated traces
+against the per-request oracle in ``tests/sim/test_fastpath.py``, down
+to one-request windows and intervals and zero warmup.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,14 +180,10 @@ def engine_cases(draw):
     capacity, columns, _ = draw(cases())
     total = len(columns[0])
     warmup = st.integers(min_value=1, max_value=total - 1) if total > 1 else st.just(0)
-    subset = st.lists(st.integers(min_value=0, max_value=total - 1), unique=True)
-    positions = draw(st.one_of(st.none(), st.just([]), subset.map(sorted)))
     args = {
         "window_requests": draw(_interval(total)),
-        "heartbeat_interval": draw(_interval(total)),
         "warmup_requests": draw(st.one_of(st.just(0), warmup)),
         "metadata_probe_interval": draw(_interval(total)),
-        "positions": None if positions is None else np.array(positions, dtype=np.int64),
     }
     return capacity, columns, args
 
@@ -218,32 +212,12 @@ def test_simulate_matches_request_oracle(name, case):
     packed = PackedTrace.from_trace(trace)
     for replay, replayed in ((_oracle, trace), (simulate, packed)):
         policy = build_policy(name, capacity, **KWARGS.get(name, {}))
-        probes, beats = [], []
+        probes = []
         _record_probes(policy, probes)
-        result = replay(policy, replayed, heartbeat=beats.append, **args)
+        result = replay(policy, replayed, **args)
         windows = [
             (w.index, w.requests, w.hits, w.hit_bytes, w.total_bytes, w.evictions)
             for w in result.windows
         ]
-        runs.append(
-            (result.counters(), windows, result.peak_metadata_bytes, beats, probes)
-        )
+        runs.append((result.counters(), windows, result.peak_metadata_bytes, probes))
     assert runs[1] == runs[0]
-
-
-@pytest.mark.parametrize(
-    "positions, match",
-    [
-        ([[0, 1]], "1-D"),
-        ([0.0, 1.0], "integer"),
-        ([True, False], "integer"),
-        ([1, 1], "strictly increasing"),
-        ([2, 1], "strictly increasing"),
-        ([-1, 0], r"\[0, 4\)"),
-        ([0, 4], r"\[0, 4\)"),
-    ],
-)
-def test_simulate_rejects_bad_positions(positions, match):
-    packed = PackedTrace.from_arrays([0.0, 1.0, 2.0, 3.0], [1, 2, 3, 4], [1, 1, 1, 1])
-    with pytest.raises(ValueError, match=match):
-        simulate(build_policy("lru", 10), packed, positions=positions)

@@ -1,10 +1,11 @@
 """Import-graph guard.
 
 The replay path (``repro.sim`` and ``repro.traces`` with every public name
-resolved) must not load the live exporter, the profiler, the run ledger,
-the baseline tooling, the workload lab or LHR checkpointing, nor the
-standard-library modules they pull in.  Each check runs in a fresh
-interpreter, so what this process imported cannot hide a regression.
+resolved) must not load the run ledger, the SLO checker, the timeline
+analyzer, the baseline tooling, the workload lab or LHR checkpointing,
+nor the standard library's HTTP, e-mail and TLS modules; the CLI must not
+load those three either.  Each check runs in a fresh interpreter, so
+what this process imported cannot hide a regression.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import pytest
 
 import repro
 
+#: Standard-library modules neither a replay nor the CLI may load.
+NETWORK_STACK = ("http.server", "email", "ssl")
+
 #: Modules a replay must never load.
 GUARDED = (
-    "http.server",
-    "email",
-    "ssl",
-    "repro.obs.server",
-    "repro.obs.profile",
+    *NETWORK_STACK,
     "repro.obs.baseline",
     "repro.obs.runs",
     "repro.obs.slo",
@@ -80,6 +80,14 @@ def test_replay_path_loads_no_guarded_module():
     )
     assert "repro.sim.engine" in loaded and "repro.traces.packed" in loaded
     assert [name for name in GUARDED if name in loaded] == []
+
+
+def test_cli_loads_no_network_stack():
+    loaded = run_python(
+        "import json, sys\nimport repro.cli\nprint(json.dumps(sorted(sys.modules)))"
+    )
+    assert "repro.cli" in loaded
+    assert [name for name in NETWORK_STACK if name in loaded] == []
 
 
 def test_every_registered_policy_class_is_loaded():
