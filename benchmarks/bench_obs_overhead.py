@@ -16,7 +16,9 @@ path by construction — ``attach_tracer`` swaps the ``request`` dispatch
 instead of guarding inside it — and the test asserts the untraced
 policy carries no dispatch shadow.  The full-record tracing cost is
 reported as ``traced_overhead_percent`` (large relative to a bare LRU
-replay, which is the point of sampling and ring buffers).
+replay, which is the point of sampling and ring buffers).  Reported
+costs land in pytest-benchmark's ``extra_info`` and one printed line
+per test.
 
 Set ``REPRO_ASSERT_OBS_OVERHEAD=0`` to waive the assertion (same
 convention as ``REPRO_ASSERT_SPEEDUP``).
@@ -27,8 +29,7 @@ import time
 
 import pytest
 
-from benchmarks.common import JOBS, SCALE, SEED, cache_bytes, trace
-from benchmarks.telemetry import build_payload, emit_telemetry
+from benchmarks.common import cache_bytes, trace
 from repro.obs import (
     NULL_OBS,
     DecisionTracer,
@@ -153,29 +154,6 @@ def test_noop_recorder_overhead_under_two_percent(workload, benchmark):
         guard_nanoseconds=round(per_check * 1e9, 1),
         disabled_overhead_percent=round(100 * overhead_ratio, 3),
     )
-    emit_telemetry(
-        build_payload(
-            "obs_overhead",
-            scale=SCALE,
-            seed=SEED,
-            jobs=JOBS,
-            wall_seconds=disabled,
-            requests=len(workload),
-            obs_overhead_percent=round(100 * overhead_ratio, 3),
-            extra={
-                "enabled_seconds": round(enabled, 4),
-                "enabled_overhead_percent": round(
-                    100 * (enabled / disabled - 1.0), 2
-                ),
-                "traced_seconds": round(traced, 4),
-                "traced_overhead_percent": round(
-                    100 * (traced / disabled - 1.0), 2
-                ),
-                "guard_nanoseconds": round(per_check * 1e9, 1),
-                "checks": checks,
-            },
-        )
-    )
     print(
         f"\nobs overhead: guard {per_check * 1e9:.0f}ns/check x "
         f"{checks} checks, request {per_request * 1e6:.1f}us -> "
@@ -247,21 +225,6 @@ def test_span_recording_overhead_reported(workload, benchmark):
         spans_seconds=round(spanned, 4),
         spans_overhead_percent=round(100 * overhead, 2),
         spans_per_replay=span_counts[-1],
-    )
-    emit_telemetry(
-        build_payload(
-            "span_overhead",
-            scale=SCALE,
-            seed=SEED,
-            jobs=JOBS,
-            wall_seconds=spanned,
-            requests=len(workload),
-            obs_overhead_percent=round(100 * overhead, 2),
-            extra={
-                "disabled_seconds": round(disabled, 4),
-                "spans_per_replay": span_counts[-1],
-            },
-        )
     )
     print(
         f"\nspan recording: {span_counts[-1]} spans/replay, "
@@ -337,22 +300,6 @@ def test_learner_telemetry_overhead_reported(workload, benchmark):
         learner_seconds=round(observed, 4),
         learner_overhead_percent=round(100 * overhead, 2),
         learner_microseconds_per_window=round(per_window * 1e6, 1),
-    )
-    emit_telemetry(
-        build_payload(
-            "learner_overhead",
-            scale=SCALE,
-            seed=SEED,
-            jobs=JOBS,
-            wall_seconds=observed,
-            requests=len(workload),
-            obs_overhead_percent=round(100 * overhead, 2),
-            extra={
-                "plain_seconds": round(plain, 4),
-                "windows": series.windows,
-                "microseconds_per_window": round(per_window * 1e6, 1),
-            },
-        )
     )
     print(
         f"\nlearner telemetry: {series.windows} windows/replay, "

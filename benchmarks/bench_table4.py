@@ -6,7 +6,7 @@ CPU premium, and the per-window hit series shows LHR pulling ahead.
 """
 
 from benchmarks.common import SCALE, TRACE_NAMES, emit, format_rows, trace
-from repro.proto import make_caffeine_baseline, make_caffeine_lhr, run_caffeine
+from repro.proto import make_caffeine_baseline, make_caffeine_lhr, run_prototype
 from repro.traces.production import PRODUCTION_SPECS
 
 
@@ -18,13 +18,13 @@ def build_table4():
         spec = PRODUCTION_SPECS[name]
         capacity = spec.scaled_cache_bytes(spec.caffeine_cache_gb, SCALE)
         window = max(len(t) // 12, 200)
-        lhr = run_caffeine(
+        lhr = run_prototype(
             make_caffeine_lhr(capacity, lhr_kwargs={"seed": 0}),
             t,
             "lhr",
             window_requests=window,
         )
-        caffeine = run_caffeine(
+        caffeine = run_prototype(
             make_caffeine_baseline(capacity), t, "caffeine", window_requests=window
         )
         rows.extend([lhr.as_row(), caffeine.as_row()])

@@ -4,7 +4,10 @@ Not a paper experiment — this measures the *simulator's* requests/second
 for representative policies, which determines how large a trace each
 policy can replay in reasonable time (and documents the constant-factor
 cost of the learning-based designs).  Uses pytest-benchmark's normal
-multi-round timing, unlike the experiment benchmarks which run once.
+multi-round timing, unlike the experiment benchmarks which run once, and
+reports each test's rates in pytest-benchmark's ``extra_info``.  Speed
+claims come from ``python -m benchmarks.suite``; the profiles' exact hit
+counts are pinned in ``tests/sim/test_golden.py``.
 """
 
 import os
@@ -12,8 +15,7 @@ import time
 
 import pytest
 
-from benchmarks.common import JOBS, SCALE, SEED, cache_bytes, trace
-from benchmarks.telemetry import build_payload, emit_telemetry
+from benchmarks.common import cache_bytes, trace
 from repro.sim import build_policy, run_comparison, simulate
 from repro.traces.packed import PackedTrace
 from repro.traces.request import Trace
@@ -29,10 +31,6 @@ PROFILES = [
     ("lrb", {"training_batch": 4096, "max_training_data": 8192, "seed": 0}),
 ]
 
-#: Per-policy timings accumulated across the parametrized runs, drained
-#: into BENCH_throughput.json when the module finishes (REPRO_TELEMETRY=1).
-_RUNS: dict[str, dict] = {}
-
 
 @pytest.fixture(scope="module")
 def workload():
@@ -45,44 +43,6 @@ def packed_workload(workload):
     packed = PackedTrace.from_trace(Trace(workload, name="throughput"))
     packed.scalar_columns()  # pre-materialize outside the timed region
     return packed
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_module_telemetry():
-    """Write the module's telemetry sidecar after every profile has run.
-
-    The per-policy rounds land in ``extra``; the headline
-    ``throughput_rps`` is total replayed requests over total replay time,
-    which is what ``repro bench-compare`` gates on.
-    """
-    _RUNS.clear()
-    yield
-    if not _RUNS:
-        return
-    wall = sum(run["seconds"] for run in _RUNS.values())
-    requests = sum(run["requests"] for run in _RUNS.values())
-    payload = build_payload(
-        "throughput",
-        scale=SCALE,
-        seed=SEED,
-        jobs=JOBS,
-        wall_seconds=wall,
-        requests=requests,
-        hit_ratios={
-            f"{name}@{run['capacity']}": run["hit_ratio"]
-            for name, run in _RUNS.items()
-        },
-        extra={
-            "per_policy_rps": {
-                name: round(run["requests"] / run["seconds"], 1)
-                for name, run in _RUNS.items()
-                if run["seconds"]
-            }
-        },
-    )
-    written = emit_telemetry(payload)
-    if written is not None:
-        print(f"\ntelemetry -> {written}")
 
 
 @pytest.mark.parametrize("name,kwargs", PROFILES, ids=[p[0] for p in PROFILES])
@@ -102,12 +62,6 @@ def test_policy_throughput(benchmark, workload, name, kwargs):
         len(workload) / benchmark.stats.stats.mean
     )
     benchmark.extra_info["object_hit_ratio"] = round(policy.object_hit_ratio, 3)
-    _RUNS[name] = {
-        "capacity": capacity,
-        "requests": len(workload),
-        "seconds": benchmark.stats.stats.mean,
-        "hit_ratio": round(policy.object_hit_ratio, 6),
-    }
 
 
 @pytest.mark.parametrize("name,kwargs", PROFILES, ids=[p[0] for p in PROFILES])
@@ -129,12 +83,6 @@ def test_policy_throughput_fastpath(
         len(workload) / benchmark.stats.stats.mean
     )
     benchmark.extra_info["object_hit_ratio"] = round(policy.object_hit_ratio, 3)
-    _RUNS[f"{name}-fast"] = {
-        "capacity": capacity,
-        "requests": len(workload),
-        "seconds": benchmark.stats.stats.mean,
-        "hit_ratio": round(policy.object_hit_ratio, 6),
-    }
 
 
 @pytest.mark.parametrize("name", ["lru", "lhr"])

@@ -7,16 +7,15 @@ fast enough for CI; 1.0 replays paper-scale ~1M-request traces).
 
 Results print to stdout and are archived under ``benchmarks/results/``.
 ``EXPERIMENTS.md`` records the paper-reported values next to ours.
+Speed is measured by ``python -m benchmarks.suite``, not here.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from functools import lru_cache
 from pathlib import Path
 
-from benchmarks.telemetry import BenchCollector, build_payload, emit_telemetry
 from repro.sim import run_comparison
 from repro.traces import Trace, generate_production_trace
 from repro.traces.production import PRODUCTION_SPECS
@@ -32,9 +31,6 @@ SEED = int(os.environ.get("REPRO_SEED", "1"))
 JOBS = int(os.environ.get("REPRO_JOBS", "0"))
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-
-#: Committed regression baselines (`repro bench-compare` reference files).
-BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
 
 #: The trace names of Table 1, in paper order.
 TRACE_NAMES = ("cdn-a", "cdn-b", "cdn-c", "wiki")
@@ -65,104 +61,18 @@ def policy_kwargs() -> dict[str, dict]:
     return {"lrb": dict(LRB_KWARGS), "lfo": dict(LFO_KWARGS)}
 
 
-#: Collects sweep timings/hit ratios between ``emit`` calls so every
-#: benchmark gets a ``BENCH_<name>.json`` sidecar for free.
-COLLECTOR = BenchCollector()
-
-
 def compare(t: Trace, policy_names, capacities, **kwargs):
     """``run_comparison`` honouring the ``REPRO_JOBS`` fan-out setting."""
-    kwargs.setdefault("parallel", JOBS)
-    start = time.perf_counter()
-    results = run_comparison(t, policy_names, capacities, **kwargs)
-    COLLECTOR.record_sweep(results, time.perf_counter() - start)
-    return results
+    return run_comparison(t, policy_names, capacities, parallel=JOBS, **kwargs)
 
 
-def emit(
-    experiment: str,
-    text: str,
-    *,
-    obs_overhead_percent: float | None = None,
-    extra: dict | None = None,
-) -> None:
-    """Print a result block and archive it under benchmarks/results/.
-
-    With ``REPRO_TELEMETRY=1`` this also drains the sweep collector into
-    a normalized ``BENCH_<experiment>.json`` next to the text archive,
-    and — when a committed baseline exists under ``benchmarks/baselines/``
-    — prints a warn-only regression check against it (the authoritative
-    gate is ``repro bench-compare`` in CI).
-    """
+def emit(experiment: str, text: str) -> None:
+    """Print a result block and archive it under benchmarks/results/."""
     banner = f"===== {experiment} (scale={SCALE}) ====="
     print(f"\n{banner}\n{text}\n")
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / f"{experiment}.txt"
     out.write_text(f"{banner}\n{text}\n")
-    sweeps = COLLECTOR.drain()
-    payload = build_payload(
-        experiment,
-        scale=SCALE,
-        seed=SEED,
-        jobs=JOBS,
-        obs_overhead_percent=obs_overhead_percent,
-        extra=extra,
-        **sweeps,
-    )
-    written = emit_telemetry(payload)
-    if written is not None:
-        print(f"telemetry -> {written}")
-        _check_against_baseline(payload)
-        _check_against_history(payload)
-
-
-def _check_against_baseline(payload: dict) -> None:
-    """Warn-only comparison of fresh telemetry vs the committed baseline."""
-    from repro.obs.baseline import compare_payloads, load_telemetry
-
-    baseline_path = BASELINE_DIR / "BENCH_baseline.json"
-    if not baseline_path.exists():
-        return
-    try:
-        baseline = load_telemetry(baseline_path)
-        if baseline["name"] != payload["name"]:
-            return
-        verdict = compare_payloads(baseline, payload)
-    except ValueError as exc:
-        print(f"baseline check skipped: {exc}")
-        return
-    print(verdict.render_text())
-    if verdict.regressed:
-        print("(warn-only: the CI gate is `repro bench-compare`)")
-
-
-def _check_against_history(payload: dict) -> None:
-    """Warn-only trend check of fresh telemetry vs the run-ledger history.
-
-    Compares against the rolling median of the last three recorded runs
-    of the same benchmark (excluding the payload just recorded) when
-    ``$REPRO_LEDGER_DIR`` is set; the enforcing equivalent is
-    ``repro bench-compare --ledger`` in CI.
-    """
-    root = os.environ.get("REPRO_LEDGER_DIR")
-    if not root:
-        return
-    from repro.obs.baseline import compare_with_history
-    from repro.obs.runs import RunLedger
-
-    try:
-        history = RunLedger(root).bench_history(
-            payload["name"], limit=3, exclude=payload.get("run_id") or None
-        )
-        if not history:
-            return
-        verdict = compare_with_history(history, payload)
-    except (OSError, ValueError) as exc:
-        print(f"history check skipped: {exc}")
-        return
-    print(verdict.render_text())
-    if verdict.regressed:
-        print("(warn-only: the CI gate is `repro bench-compare --ledger`)")
 
 
 def format_rows(rows: list[dict]) -> str:

@@ -14,8 +14,6 @@ Subcommands cover the everyday workflows:
   (reuse-distance analysis; no simulation sweep needed).
 * ``prototype`` — replay a trace through the emulated ATS or Caffeine
   deployment (LHR vs the stock baseline).
-* ``bench-compare`` — regression-check two or more ``repro-bench/1``
-  telemetry files against each other (the benchmark sentinel).
 * ``workload list|describe|generate|run`` — the non-stationary workload
   lab: enumerate the scenario registry, inspect a scenario's parameters,
   materialize a scenario trace, or sweep a policy grid over a scenario
@@ -50,7 +48,6 @@ from repro.core import hro_bound
 from repro.core.lhr import LhrCache
 from repro.obs import (
     NULL_OBS,
-    BaselineTolerance,
     FanoutRecorder,
     JsonlRecorder,
     LearnerTelemetry,
@@ -63,11 +60,8 @@ from repro.obs import (
     TextRecorder,
     analyze_learner,
     analyze_spans,
-    compare_files,
-    compare_with_history,
     diff_records,
     evaluate_slo,
-    load_telemetry,
     record_from_results,
 )
 from repro.obs.learner import columns_to_series
@@ -76,7 +70,6 @@ from repro.proto import (
     make_ats_baseline,
     make_caffeine_baseline,
     make_caffeine_lhr,
-    run_caffeine,
     run_prototype,
 )
 from repro.sim import (
@@ -550,24 +543,17 @@ def cmd_prototype(args: argparse.Namespace) -> int:
             capacity = spec.scaled_cache_bytes(spec.prototype_cache_gb, args.scale)
             lhr_server = AtsServer(LhrCache(capacity, seed=0))
             baseline = make_ats_baseline(capacity)
-            if obs.enabled:
-                lhr_server.policy.attach_observation(obs)
-                baseline.policy.attach_observation(obs)
-            reports = [
-                run_prototype(lhr_server, trace, "lhr"),
-                run_prototype(baseline, trace, "ats"),
-            ]
         else:
             capacity = spec.scaled_cache_bytes(spec.caffeine_cache_gb, args.scale)
             lhr_server = make_caffeine_lhr(capacity)
             baseline = make_caffeine_baseline(capacity)
-            if obs.enabled:
-                lhr_server.policy.attach_observation(obs)
-                baseline.policy.attach_observation(obs)
-            reports = [
-                run_caffeine(lhr_server, trace, "lhr"),
-                run_caffeine(baseline, trace, "caffeine"),
-            ]
+        if obs.enabled:
+            lhr_server.policy.attach_observation(obs)
+            baseline.policy.attach_observation(obs)
+        reports = [
+            run_prototype(lhr_server, trace, "lhr"),
+            run_prototype(baseline, trace, args.system),
+        ]
     finally:
         _finish_observation(obs, args)
     rows = [report.as_row() for report in reports]
@@ -577,54 +563,6 @@ def cmd_prototype(args: argparse.Namespace) -> int:
     for row in rows:
         print("  ".join(str(row[c]).ljust(widths[c]) for c in columns))
     return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    """Regression-check telemetry: consecutive file pairs, or one new
-    payload against the rolling ledger history (``--ledger``)."""
-    try:
-        tolerance = BaselineTolerance(
-            throughput_drop_pct=args.throughput_tolerance,
-            rss_growth_pct=args.rss_tolerance,
-            hit_ratio_drop=args.hit_ratio_tolerance,
-        )
-        if args.ledger is not None:
-            if len(args.files) != 1:
-                raise ValueError(
-                    "--ledger compares exactly one new telemetry file "
-                    "against the recorded history"
-                )
-            current = load_telemetry(args.files[0])
-            history = RunLedger(args.ledger).bench_history(
-                current["name"],
-                limit=args.history,
-                exclude=current.get("run_id") or None,
-            )
-            if not history:
-                raise ValueError(
-                    f"no prior {current['name']!r} benchmark runs recorded "
-                    f"in ledger {args.ledger}"
-                )
-            verdicts = [compare_with_history(history, current, tolerance)]
-        else:
-            verdicts = compare_files(args.files, tolerance)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    if args.format == "json":
-        print(
-            json.dumps(
-                [verdict.as_dict() for verdict in verdicts],
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print("\n\n".join(verdict.render_text() for verdict in verdicts))
-    regressed = any(verdict.regressed for verdict in verdicts)
-    if regressed and args.warn_only:
-        print("warn-only: regression detected but exiting 0", file=sys.stderr)
-        return 0
-    return 1 if regressed else 0
 
 
 # ----------------------------------------------------------------------
@@ -742,8 +680,8 @@ def cmd_runs_export(args: argparse.Namespace) -> int:
 
 
 def cmd_runs_check(args: argparse.Namespace) -> int:
-    """Evaluate an SLO spec against one run; exit 1 on violation
-    (matching ``bench-compare`` semantics)."""
+    """Evaluate an SLO spec against one run; exit 1 on violation, or 0
+    with ``--warn-only``."""
     ledger = _open_ledger(args)
     try:
         spec = SloSpec.from_file(args.slo)
@@ -1107,47 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
     proto.add_argument("--seed", type=int, default=0)
     _add_observability_flags(proto)
     proto.set_defaults(func=cmd_prototype)
-
-    bench = sub.add_parser(
-        "bench-compare",
-        help="regression-check repro-bench/1 telemetry files (oldest first)",
-    )
-    bench.add_argument(
-        "files", nargs="+",
-        help="two or more BENCH_*.json files, oldest first; consecutive "
-        "pairs are compared",
-    )
-    bench.add_argument(
-        "--throughput-tolerance", type=float, default=10.0, metavar="PCT",
-        help="max relative throughput drop before REGRESS (default 10%%)",
-    )
-    bench.add_argument(
-        "--rss-tolerance", type=float, default=20.0, metavar="PCT",
-        help="max relative peak-RSS growth before REGRESS (default 20%%)",
-    )
-    bench.add_argument(
-        "--hit-ratio-tolerance", type=float, default=0.01, metavar="ABS",
-        help="max absolute per-cell hit-ratio drop before REGRESS",
-    )
-    bench.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="stdout report format",
-    )
-    bench.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (CI advisory mode)",
-    )
-    bench.add_argument(
-        "--ledger", metavar="DIR", default=None,
-        help="compare one new telemetry file against the rolling median of "
-        "prior runs recorded in this run-ledger directory",
-    )
-    bench.add_argument(
-        "--history", type=int, default=3, metavar="N",
-        help="number of prior ledger runs in the rolling baseline "
-        "(default 3)",
-    )
-    bench.set_defaults(func=cmd_bench_compare)
 
     workload = sub.add_parser(
         "workload",

@@ -1,19 +1,18 @@
 """Observability substrate: metrics registry, structured events,
 span-based timeline tracing (cross-process spans, Perfetto export,
-critical-path/straggler analysis), learner telemetry, the benchmark
-regression sentinel and the persistent run ledger (cross-run experiment
-tracking, SLO checks, history-aware regression trends).
+critical-path/straggler analysis), learner telemetry and the persistent
+run ledger (cross-run experiment tracking and SLO checks).
 
 The package binds each public name on first access, so the replay path
 (``Observation``, the registry, events, spans, learner telemetry and the
-decision tracer) loads without the ledger or the baseline tooling;
+decision tracer) loads without the ledger or the SLO checker;
 ``from repro.obs import name`` loads only the module that defines
 ``name``.
 
 See ``docs/OBSERVABILITY.md`` for the event catalog, metric naming and
 CLI usage (``--log-json``, ``--metrics-out``, ``--verbose``,
 ``--trace-out``, ``--learner``, ``repro timeline``, ``repro learner``,
-``repro bench-compare``, ``repro runs``).
+``repro runs``).
 """
 
 from repro import _lazy_exports
@@ -21,11 +20,6 @@ from repro import _lazy_exports
 _EXPORTS, __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
-        "repro.obs.baseline": (
-            "BaselineTolerance", "BaselineVerdict", "compare_files", "compare_payloads",
-            "compare_with_history", "history_payload", "load_telemetry",
-            "upgrade_payload", "validate_telemetry",
-        ),
         "repro.obs.events": (
             "EVENT_TYPES", "FanoutRecorder", "JsonlRecorder", "MemoryRecorder",
             "NullRecorder", "TextRecorder", "read_events_jsonl", "register_event_type",

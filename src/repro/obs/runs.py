@@ -1,8 +1,8 @@
 """Persistent run ledger: append-only cross-run experiment tracking.
 
-Every ``simulate`` / ``compare`` / workload-lab / benchmark invocation
-can persist a :class:`RunRecord` — run id, UTC timestamp, git revision,
-config digest, final metrics snapshot, per-cell results, an event digest
+Every ``simulate`` / ``compare`` / workload-lab invocation can persist
+a :class:`RunRecord` — run id, UTC timestamp, git revision, config
+digest, final metrics snapshot, per-cell results, an event digest
 (drift/retrain/failure counts) and the per-window time series — into a
 :class:`RunLedger` rooted at a directory.  The ledger is what makes the
 paper's longitudinal questions answerable *across* runs: LHR's
@@ -25,9 +25,8 @@ and a crashed writer leaves at worst an ignorable manifest-less
 directory.
 
 The consumer surface is the ``repro runs`` CLI family (``list`` /
-``show`` / ``diff`` / ``export`` / ``check`` / ``gc``) and the
-history-aware regression check in :mod:`repro.obs.baseline`
-(``repro bench-compare --ledger``).  See ``docs/OBSERVABILITY.md``.
+``show`` / ``diff`` / ``export`` / ``check`` / ``gc``).  See
+``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -548,39 +547,17 @@ class RunLedger:
             manifest, columns, span_dicts, learner_columns
         )
 
-    def records(self, command: str | None = None, name: str | None = None):
-        """All runs oldest→newest, optionally filtered, without sidecars."""
-        out = []
-        for run_id in self.run_ids():
-            record = self.load(run_id, series=False, spans=False)
-            if command is not None and record.command != command:
-                continue
-            if name is not None and record.name != name:
-                continue
-            out.append(record)
-        return out
+    def records(self):
+        """All runs oldest→newest, without sidecars."""
+        return [
+            self.load(run_id, series=False, spans=False)
+            for run_id in self.run_ids()
+        ]
 
     def summaries(self, limit: int = 0) -> list[dict]:
         """``repro runs list`` rows, oldest first."""
         rows = [record.summary() for record in self.records()]
         return rows[-limit:] if limit else rows
-
-    def bench_history(
-        self, name: str, limit: int = 3, exclude: str | None = None
-    ) -> list[dict]:
-        """The last ``limit`` benchmark telemetry payloads for ``name``.
-
-        Oldest→newest, ready for
-        :func:`repro.obs.baseline.compare_with_history`; ``exclude``
-        drops the run id of the payload under test so a freshly
-        recorded run never serves as its own history.
-        """
-        payloads = [
-            record.metrics
-            for record in self.records(command="bench", name=name)
-            if record.run_id != exclude
-        ]
-        return payloads[-limit:] if limit else payloads
 
     # -- retention -----------------------------------------------------
 

@@ -3,8 +3,8 @@
 An :class:`SloSpec` is a small JSON document — hit-ratio floors per
 policy/scenario, retrain-rate ceilings, runtime budgets, a failed-cell
 cap — evaluated against one :class:`~repro.obs.runs.RunRecord` by
-``repro runs check``.  Exit-code semantics match ``bench-compare``:
-0 when every rule holds, 1 on any violation (or ``--warn-only``).
+``repro runs check``, which exits 0 when every rule holds and 1 on any
+violation (0 with ``--warn-only``).
 
 Spec format (``schema: repro-slo/1``)::
 

@@ -14,7 +14,6 @@ from repro.proto.caffeine import (
     CaffeineServer,
     make_caffeine_baseline,
     make_caffeine_lhr,
-    run_caffeine,
 )
 from repro.proto.flash import FlashStats, FlashStore
 from repro.proto.origin import OriginServer, OriginStats
@@ -32,6 +31,5 @@ __all__ = [
     "make_ats_baseline",
     "make_caffeine_baseline",
     "make_caffeine_lhr",
-    "run_caffeine",
     "run_prototype",
 ]

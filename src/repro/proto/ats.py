@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.policies.base import CachePolicy
 from repro.policies.classic import LruCache
@@ -31,6 +32,9 @@ from repro.proto.origin import OriginServer
 from repro.sim.network import NetworkModel
 from repro.traces.request import Request, Trace
 from repro.util.stats import PercentileTracker, RunningStats
+
+if TYPE_CHECKING:
+    from repro.proto.caffeine import CaffeineServer
 
 
 @dataclass(frozen=True)
@@ -244,12 +248,13 @@ class PrototypeReport:
 
 
 def run_prototype(
-    server: AtsServer,
+    server: AtsServer | CaffeineServer,
     trace: Trace,
     system_name: str,
     window_requests: int = 2000,
 ) -> PrototypeReport:
-    """Replay ``trace`` through ``server`` and compute the report.
+    """Replay ``trace`` through an ATS or Caffeine ``server`` and compute
+    the Table 2 / Table 4 report.
 
     The "normal" (production-speed) metrics — latency percentiles, hit
     probability, average traffic — use the trace's own timestamps; the

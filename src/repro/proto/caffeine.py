@@ -3,7 +3,8 @@
 Caffeine is an in-memory Java cache whose baseline policy is W-TinyLFU;
 the paper swaps in LHR and compares.  The emulation is simpler than the
 ATS path — no flash device and no freshness pipeline, just an in-memory
-cache in front of the origin with the same network/cost accounting.
+cache in front of the origin.  :func:`repro.proto.ats.run_prototype`
+replays either server with the same network/cost accounting.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from __future__ import annotations
 from repro.core.lhr import LhrCache
 from repro.policies.base import CachePolicy
 from repro.policies.tinylfu import WTinyLfuCache
-from repro.proto.ats import CostModel, PrototypeReport
+from repro.proto.ats import CostModel, ServedRequest
 from repro.proto.origin import OriginServer
 from repro.sim.network import NetworkModel
-from repro.traces.request import Trace
-from repro.util.stats import PercentileTracker, RunningStats
+from repro.traces.request import Request
 
 
 class CaffeineServer:
@@ -39,81 +39,38 @@ class CaffeineServer:
         self.uses_learning = uses_learning
         self.base_process_bytes = base_process_bytes
 
+    def serve(self, req: Request) -> ServedRequest:
+        """Run one request through the in-memory cache; returns the
+        accounting (no flash device, so ``device_seconds`` is 0)."""
+        hit = self.policy.request(req)
+        wan_bytes = 0
+        if hit:
+            latency = self.network.hit_latency(req.size)
+        else:
+            self.origin.fetch(req.obj_id, req.size)
+            wan_bytes = req.size
+            latency = self.network.miss_latency(req.size)
+        cpu = self.costs.lookup_seconds
+        cpu += self.costs.serve_seconds_per_mb * req.size / (1 << 20)
+        if self.uses_learning:
+            cpu += self.costs.learning_seconds_per_request
+        # Caffeine's baseline is itself CPU-heavier than plain LRU (sketch
+        # maintenance), so both systems pay the admission-filter cost.
+        cpu += self.costs.admit_seconds
+        return ServedRequest(
+            hit=hit,
+            latency_seconds=latency,
+            wan_bytes=wan_bytes,
+            cpu_seconds=cpu,
+            device_seconds=0.0,
+        )
+
     def memory_bytes(self) -> int:
         return (
             self.base_process_bytes
             + self.policy.used_bytes // (1 << 10)  # in-memory index share
             + self.policy.metadata_bytes()
         )
-
-
-def run_caffeine(
-    server: CaffeineServer,
-    trace: Trace,
-    system_name: str,
-    window_requests: int = 2000,
-) -> PrototypeReport:
-    """Replay ``trace`` through a Caffeine-style node (Table 4 metrics)."""
-    latencies = RunningStats()
-    percentiles = PercentileTracker(capacity=16_384)
-    hits = 0
-    wan_bytes = 0
-    total_bytes = 0
-    cpu_seconds = 0.0
-    busy_seconds = 0.0
-    peak_mem = 0
-    window_hits: list[float] = []
-    window_count = 0
-    window_hit_count = 0
-    costs = server.costs
-    for i, req in enumerate(trace):
-        hit = server.policy.request(req)
-        if hit:
-            latency = server.network.hit_latency(req.size)
-        else:
-            server.origin.fetch(req.obj_id, req.size)
-            wan_bytes += req.size
-            latency = server.network.miss_latency(req.size)
-        cpu = costs.lookup_seconds + costs.serve_seconds_per_mb * req.size / (1 << 20)
-        if server.uses_learning:
-            cpu += costs.learning_seconds_per_request
-        # Caffeine's baseline is itself CPU-heavier than plain LRU (sketch
-        # maintenance), so both systems pay the admission-filter cost.
-        cpu += costs.admit_seconds
-        cpu_seconds += cpu
-        hits += hit
-        total_bytes += req.size
-        latencies.add(latency)
-        percentiles.add(latency)
-        busy_seconds += req.size / (server.network.link_rate_bps / 8.0)
-        if not hit:
-            busy_seconds += req.size / (server.network.wan_rate_bps / 8.0)
-        window_count += 1
-        window_hit_count += hit
-        if window_count >= window_requests:
-            window_hits.append(window_hit_count / window_count)
-            window_count = 0
-            window_hit_count = 0
-        if i % 1000 == 0:
-            peak_mem = max(peak_mem, server.memory_bytes())
-    if window_count:
-        window_hits.append(window_hit_count / window_count)
-    peak_mem = max(peak_mem, server.memory_bytes())
-    duration = max(trace.duration, 1e-9)
-    return PrototypeReport(
-        system=system_name,
-        trace=trace.name,
-        content_hit_percent=100.0 * hits / max(len(trace), 1),
-        throughput_gbps=(total_bytes * 8.0 / busy_seconds if busy_seconds else 0.0)
-        / 1e9,
-        peak_cpu_percent=100.0 * cpu_seconds / busy_seconds if busy_seconds else 0.0,
-        peak_mem_gb=peak_mem / (1 << 30),
-        p90_latency_ms=percentiles.percentile(90) * 1e3,
-        p99_latency_ms=percentiles.percentile(99) * 1e3,
-        mean_latency_ms=latencies.mean * 1e3,
-        traffic_gbps=wan_bytes * 8.0 / duration / 1e9,
-        window_hit_ratios=window_hits,
-    )
 
 
 def make_caffeine_baseline(capacity: int, **kwargs) -> CaffeineServer:

@@ -13,7 +13,6 @@ from repro.obs.runs import (
     RUN_SCHEMA,
     SERIES_FIELDS,
     RunLedger,
-    RunRecord,
     config_digest,
     current_git_rev,
     diff_records,
@@ -205,30 +204,6 @@ class TestLedger:
         assert ledger.gc(2) == []  # idempotent
         with pytest.raises(ValueError):
             ledger.gc(-1)
-
-    def test_bench_history_filters_and_excludes(self, tmp_path):
-        ledger = make_ledger(tmp_path)
-        for i in range(4):
-            ledger.record(
-                RunRecord(
-                    command="bench",
-                    name="throughput",
-                    metrics={"throughput_rps": 1000.0 + i},
-                )
-            )
-        ledger.record(RunRecord(command="bench", name="other", metrics={}))
-        ledger.record(
-            record_from_results("compare", {}, windowed_results())
-        )
-        history = ledger.bench_history("throughput", limit=3)
-        assert [p["throughput_rps"] for p in history] == [1001.0, 1002.0, 1003.0]
-        newest = ledger.records(command="bench", name="throughput")[-1]
-        assert all(
-            p["throughput_rps"] != 1003.0
-            for p in ledger.bench_history(
-                "throughput", limit=3, exclude=newest.run_id
-            )
-        )
 
     def test_export_csv(self, tmp_path):
         ledger = make_ledger(tmp_path)

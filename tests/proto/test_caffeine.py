@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.proto import run_prototype
 from repro.proto.caffeine import (
+    CaffeineServer,
     make_caffeine_baseline,
     make_caffeine_lhr,
-    run_caffeine,
 )
+from repro.policies.classic import LruCache
 from repro.policies.tinylfu import WTinyLfuCache
 from repro.core.lhr import LhrCache
+from repro.traces.request import Request
 
 
 class TestFactories:
@@ -24,16 +27,30 @@ class TestFactories:
         assert server.uses_learning is True
 
 
+class TestServe:
+    def test_miss_then_hit(self):
+        server = CaffeineServer(LruCache(10_000), uses_learning=False)
+        miss = server.serve(Request(0.0, 1, 100))
+        hit = server.serve(Request(1.0, 1, 100))
+        assert (miss.hit, miss.wan_bytes) == (False, 100)
+        assert (hit.hit, hit.wan_bytes) == (True, 0)
+        assert hit.latency_seconds < miss.latency_seconds
+        # No flash device; the admission filter is charged on every request.
+        assert miss.device_seconds == hit.device_seconds == 0.0
+        assert miss.cpu_seconds == hit.cpu_seconds
+        assert server.origin.stats.fetches == 1
+
+
 class TestRunCaffeine:
     @pytest.fixture(scope="class")
     def report_pair(self, production_trace, production_capacity):
-        baseline = run_caffeine(
+        baseline = run_prototype(
             make_caffeine_baseline(production_capacity),
             production_trace,
             "caffeine",
             window_requests=500,
         )
-        lhr = run_caffeine(
+        lhr = run_prototype(
             make_caffeine_lhr(production_capacity, lhr_kwargs={"seed": 0}),
             production_trace,
             "lhr",

@@ -21,7 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import known_policies, run_comparison
+from repro.sim import build_policy, known_policies, run_comparison, simulate
+from repro.traces import generate_production_trace
+from repro.traces.packed import PackedTrace
+from repro.traces.production import PRODUCTION_SPECS
+from repro.traces.request import Trace
 from repro.traces.synthetic import irm_trace
 
 GOLDEN_PATH = Path(__file__).parent / "golden_hit_ratios.json"
@@ -109,3 +113,50 @@ def test_golden_hit_ratios():
         "behaviour drifted from the golden fixture (regenerate only if "
         "intentional):\n" + "\n".join(mismatches)
     )
+
+
+#: Hits of six policies on the first 4,000 requests of the cdn-a stand-in
+#: that the figure benchmarks replay (scale 0.01, seed 1), at the 512 GB
+#: paper size scaled to 0.01, with ``benchmarks/bench_throughput.py``'s
+#: policy arguments.  The fixture above replays an IRM trace, so these
+#: cells are the one pin on a production stand-in.
+CDN_A_HEAD_HITS = {
+    "lru": ({}, 1514),
+    "gdsf": ({}, 2036),
+    "w-tinylfu": ({}, 1726),
+    "lhd": ({}, 2003),
+    "lhr": ({"seed": 0}, 1968),
+    "lrb": ({"training_batch": 4096, "max_training_data": 8192, "seed": 0}, 1516),
+}
+
+
+def test_cdn_a_stand_in_hits():
+    """Exact hits on both replay paths: per-request ``request`` calls and
+    ``simulate`` over the packed trace end with identical counters."""
+    stand_in = generate_production_trace("cdn-a", scale=0.01, seed=1)
+    trace = Trace(list(stand_in.requests[:4000]), name="cdn-a-head")
+    packed = PackedTrace.from_trace(trace)
+    capacity = PRODUCTION_SPECS["cdn-a"].scaled_cache_bytes(512, 0.01)
+    assert capacity == 5_497_558_138
+
+    def counters(policy):
+        return (
+            policy.hits, policy.misses, policy.hit_bytes,
+            policy.evictions, policy.admissions,
+        )
+
+    mismatches = []
+    for name, (kwargs, hits) in CDN_A_HEAD_HITS.items():
+        walked = build_policy(name, capacity, **kwargs)
+        for request in trace:
+            walked.request(request)
+        replayed = build_policy(name, capacity, **kwargs)
+        simulate(replayed, packed)
+        if walked.hits != hits:
+            mismatches.append(f"{name}.hits: {hits} -> {walked.hits}")
+        if counters(replayed) != counters(walked):
+            mismatches.append(
+                f"{name}: packed {counters(replayed)} != request "
+                f"{counters(walked)}"
+            )
+    assert not mismatches, "\n".join(mismatches)

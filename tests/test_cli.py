@@ -349,65 +349,6 @@ class TestObservabilityFlags:
         assert "wrote metrics snapshot" not in captured.out + captured.err
 
 
-class TestLiveOpsCli:
-    """bench-compare, the benchmark regression sentinel."""
-
-    def _telemetry(self, path, **overrides):
-        payload = {
-            "schema": "repro-bench/1",
-            "name": "throughput",
-            "scale": 0.01,
-            "seed": 1,
-            "jobs": 0,
-            "wall_seconds": 2.0,
-            "requests": 20000,
-            "throughput_rps": 10000.0,
-            "peak_rss_bytes": 100 * (1 << 20),
-            "hit_ratios": {"lru@1000": 0.40},
-            "obs_overhead_percent": None,
-            "extra": {},
-        }
-        payload.update(overrides)
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_bench_compare_pass(self, tmp_path, capsys):
-        a = self._telemetry(tmp_path / "a.json")
-        b = self._telemetry(tmp_path / "b.json")
-        assert main(["bench-compare", a, b]) == 0
-        assert "verdict: PASS" in capsys.readouterr().out
-
-    def test_bench_compare_regression_exits_one(self, tmp_path, capsys):
-        a = self._telemetry(tmp_path / "a.json")
-        b = self._telemetry(tmp_path / "b.json", throughput_rps=8000.0)
-        assert main(["bench-compare", a, b]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESS" in out
-        assert "throughput_rps" in out
-
-    def test_bench_compare_warn_only_exits_zero(self, tmp_path, capsys):
-        a = self._telemetry(tmp_path / "a.json")
-        b = self._telemetry(tmp_path / "b.json", throughput_rps=8000.0)
-        assert main(["bench-compare", a, b, "--warn-only"]) == 0
-        captured = capsys.readouterr()
-        assert "REGRESS" in captured.out
-        assert "warn-only" in captured.err
-
-    def test_bench_compare_json_format(self, tmp_path, capsys):
-        a = self._telemetry(tmp_path / "a.json")
-        b = self._telemetry(tmp_path / "b.json", throughput_rps=8000.0)
-        assert main(["bench-compare", a, b, "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["verdict"] == "regress"
-
-    def test_bench_compare_custom_tolerance(self, tmp_path, capsys):
-        a = self._telemetry(tmp_path / "a.json")
-        b = self._telemetry(tmp_path / "b.json", throughput_rps=8000.0)
-        assert main(
-            ["bench-compare", a, b, "--throughput-tolerance", "25"]
-        ) == 0
-
-
 class TestRunLedgerCli:
     """The tentpole surface: default-on recording + the runs family."""
 
@@ -475,7 +416,7 @@ class TestRunLedgerCli:
         assert diff["identical"] is False
         assert any(c["windows_differing"] > 0 for c in diff["cells"])
 
-    def test_check_exit_codes_match_bench_compare(
+    def test_check_exit_codes(
         self, trace_file, tmp_path, capsys
     ):
         assert self._compare(trace_file) == 0
@@ -533,100 +474,6 @@ class TestRunLedgerCli:
         assert "run ledger: recorded" in capsys.readouterr().err
         assert main(["runs", "list"]) == 0
         assert "simulate" in capsys.readouterr().out
-
-
-class TestBenchCompareLedger:
-    """bench-compare --ledger: rolling-history regression trends."""
-
-    def _payload(self, throughput, run_id):
-        return {
-            "schema": "repro-bench/2",
-            "name": "throughput",
-            "scale": 0.01,
-            "seed": 1,
-            "jobs": 0,
-            "run_id": run_id,
-            "git_rev": "deadbeef",
-            "config_digest": "abcd1234abcd1234",
-            "wall_seconds": 2.0,
-            "requests": 20000,
-            "throughput_rps": throughput,
-            "peak_rss_bytes": 100 << 20,
-            "hit_ratios": {"lru@1000": 0.40},
-            "obs_overhead_percent": None,
-            "extra": {},
-        }
-
-    @pytest.fixture()
-    def ledger_with_history(self, tmp_path):
-        from repro.obs import RunLedger, RunRecord
-
-        root = tmp_path / "bench-ledger"
-        ledger = RunLedger(root)
-        for i, tput in enumerate((980.0, 1000.0, 1020.0)):
-            payload = self._payload(tput, f"hist-{i}")
-            ledger.record(
-                RunRecord(
-                    command="bench", name="throughput",
-                    run_id=payload["run_id"], metrics=payload,
-                )
-            )
-        return root
-
-    def test_injected_regression_flagged(
-        self, tmp_path, ledger_with_history, capsys
-    ):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text(json.dumps(self._payload(500.0, "candidate")))
-        assert main(
-            ["bench-compare", str(bad), "--ledger", str(ledger_with_history)]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "median of 3 prior runs" in out
-        assert "REGRESS" in out
-
-    def test_healthy_run_passes(self, tmp_path, ledger_with_history, capsys):
-        good = tmp_path / "BENCH_good.json"
-        good.write_text(json.dumps(self._payload(1010.0, "candidate")))
-        assert main(
-            ["bench-compare", str(good), "--ledger", str(ledger_with_history)]
-        ) == 0
-        assert "verdict: PASS" in capsys.readouterr().out
-
-    def test_candidate_never_its_own_history(
-        self, tmp_path, ledger_with_history
-    ):
-        """A payload already recorded in the ledger is excluded from the
-        history it is compared against."""
-        from repro.obs import RunLedger, RunRecord
-
-        payload = self._payload(500.0, "candidate")
-        RunLedger(ledger_with_history).record(
-            RunRecord(command="bench", name="throughput",
-                      run_id="candidate", metrics=payload)
-        )
-        current = tmp_path / "BENCH_current.json"
-        current.write_text(json.dumps(payload))
-        assert main(
-            ["bench-compare", str(current), "--ledger",
-             str(ledger_with_history)]
-        ) == 1  # still judged against the three healthy runs
-
-    def test_ledger_mode_requires_one_file(self, tmp_path, ledger_with_history):
-        a = tmp_path / "a.json"
-        a.write_text(json.dumps(self._payload(1000.0, "a")))
-        b = tmp_path / "b.json"
-        b.write_text(json.dumps(self._payload(1000.0, "b")))
-        with pytest.raises(SystemExit, match="exactly one"):
-            main(["bench-compare", str(a), str(b), "--ledger",
-                  str(ledger_with_history)])
-
-    def test_empty_history_is_a_clean_error(self, tmp_path):
-        a = tmp_path / "a.json"
-        a.write_text(json.dumps(self._payload(1000.0, "a")))
-        with pytest.raises(SystemExit, match="no prior"):
-            main(["bench-compare", str(a), "--ledger",
-                  str(tmp_path / "empty-ledger")])
 
 
 class TestTimelineTracingCli:

@@ -2,10 +2,10 @@
 
 The replay path (``repro.sim`` and ``repro.traces`` with every public name
 resolved) must not load the run ledger, the SLO checker, the timeline
-analyzer, the baseline tooling, the workload lab or LHR checkpointing,
-nor the standard library's HTTP, e-mail and TLS modules; the CLI must not
-load those three either.  Each check runs in a fresh interpreter, so
-what this process imported cannot hide a regression.
+analyzer, the workload lab or LHR checkpointing, nor the standard
+library's HTTP, e-mail and TLS modules; the CLI must not load those three
+either.  Each check runs in a fresh interpreter, so what this process
+imported cannot hide a regression.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ NETWORK_STACK = ("http.server", "email", "ssl")
 #: Modules a replay must never load.
 GUARDED = (
     *NETWORK_STACK,
-    "repro.obs.baseline",
     "repro.obs.runs",
     "repro.obs.slo",
     "repro.obs.timeline",

@@ -113,3 +113,35 @@ def test_golden_scenarios():
         "behaviour drifted from the scenario-golden corpus (regenerate only "
         "if intentional):\n" + "\n".join(mismatches)
     )
+
+
+#: Counters of the churn cell ``benchmarks/bench_workloads.py`` runs at
+#: its default scale: 8,000 requests, seed 1, the lab's default capacity
+#: fraction.  The corpus above replays 800-request scenarios only.
+CHURN_CELL = {
+    "lru": dict(
+        hits=2626, admissions=5374, evictions=5334,
+        drift_windows=0, drift_detections=0, retrains=0,
+    ),
+    "lhr": dict(
+        hits=4196, admissions=1903, evictions=1799,
+        drift_windows=15, drift_detections=11, retrains=11,
+    ),
+    "w-tinylfu": dict(
+        hits=3585, admissions=1720, evictions=1676,
+        drift_windows=0, drift_detections=0, retrains=0,
+    ),
+}
+
+
+def test_churn_benchmark_cell():
+    report = run_workload_lab(
+        [ScenarioConfig.make("churn", 8000, 1)], list(CHURN_CELL)
+    )
+    scenario = report.scenario("churn")
+    assert scenario.capacity == 1_966_079
+    measured = {
+        cell.policy: {key: cell.as_dict()[key] for key in CHURN_CELL[cell.policy]}
+        for cell in scenario.cells
+    }
+    assert measured == CHURN_CELL
