@@ -321,26 +321,30 @@ class LhrCache(CachePolicy):
         closes a window mid-span the model, threshold and feature store
         may all change, so the walk stops and the span tail is
         re-gathered and re-scored under the new state — which is
-        precisely what per-request scoring would have seen.
+        precisely what per-request scoring would have seen.  The span
+        becomes lists once; the gathers index them from 0, and each
+        ``Request`` keeps its global index.
         """
         features = self.features
         score_block = self._backend.score_block
         request = self.request
-        i = begin
+        ids = obj_ids[begin:end].tolist()
+        szs = sizes[begin:end].tolist()
+        tms = times[begin:end].tolist()
+        n = end - begin
+        i = 0
         try:
-            while i < end:
-                block = features.feature_matrix(
-                    obj_ids, sizes, times, i, end, self.num_irts
-                )
+            while i < n:
+                block = features.feature_matrix(ids, szs, tms, i, n, self.num_irts)
                 model = self._model
                 probs = (
                     score_block(model, block).tolist() if model is not None else None
                 )
                 windows_before = self.windows_processed
-                for k in range(end - i):
+                for k in range(n - i):
                     self._scored = (block[k], 1.0 if probs is None else probs[k])
                     j = i + k
-                    request(Request(times[j], obj_ids[j], sizes[j], j))
+                    request(Request(tms[j], ids[j], szs[j], begin + j))
                     if self.windows_processed != windows_before:
                         # Window closed: model/delta/features may have
                         # changed — re-score the span tail under new state.

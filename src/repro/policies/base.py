@@ -125,25 +125,38 @@ class CachePolicy(ABC):
         return hit
 
     def replay_span(self, obj_ids, sizes, times, begin: int, end: int) -> None:
-        """Replay requests ``[begin, end)`` given as parallel scalar columns.
+        """Replay requests ``[begin, end)`` of parallel trace columns.
 
         The engine feeds every trace through this, one bookkeeping-free
-        chunk per call.  This base walker builds a ``Request`` per
-        request and calls :meth:`request`, so it is exact for every
-        policy and carries every hook and decision record.  Four classic
-        policies (LRU, LRU-K, LFU-DA, B-LRU) override it with a span
-        kernel: ``request`` with their hooks inlined, state held in
-        locals and counters written back once at the span edge.  The
-        engine reads counters only at span boundaries, so deferred
-        write-back is observationally identical.  ``_pin_span_kernel``
-        decides which of the two runs.  LHR's override block-scores the
-        span and then walks ``request`` like this walker, so it needs no
-        pin; (W-)TinyLFU's hashes the span's keys once and walks it the
-        same way.
+        chunk per call.  The column contract: ``obj_ids``, ``sizes`` and
+        ``times`` are a ``PackedTrace``'s whole NumPy columns and
+        ``[begin, end)`` is global.  An implementation turns into lists
+        only the chunk's slice of the columns it reads
+        (``col[begin:end].tolist()``) and iterates over them, so no
+        replay holds a whole-trace list; a ``Request`` it builds carries
+        its global index ``begin + j``.
+
+        This base walker builds a ``Request`` per request and calls
+        :meth:`request`, so it is exact for every policy and carries
+        every hook and decision record.  Four classic policies (LRU,
+        LRU-K, LFU-DA, B-LRU) override it with a span kernel: ``request``
+        with their hooks inlined, state held in locals and counters
+        written back once at the span edge.  The engine reads counters
+        only at span boundaries, so deferred write-back is
+        observationally identical.  ``_pin_span_kernel`` decides which
+        of the two runs.  LHR's override block-scores the span and then
+        walks ``request`` like this walker, so it needs no pin;
+        (W-)TinyLFU's hashes the span's keys once and walks it the same
+        way.
         """
         request = self.request
-        for i in range(begin, end):
-            request(Request(times[i], obj_ids[i], sizes[i], i))
+        for index, obj_id, size, time in zip(
+            range(begin, end),
+            obj_ids[begin:end].tolist(),
+            sizes[begin:end].tolist(),
+            times[begin:end].tolist(),
+        ):
+            request(Request(time, obj_id, size, index))
 
     def _pin_span_kernel(self, *kernel_classes: type) -> None:
         """The pin rule: keep this instance on the base walker unless its

@@ -89,7 +89,7 @@ class BloomLruCache(CachePolicy):
             stop = min(block + HASH_BLOCK, end)
             ids = obj_ids[block:stop]
             for obj_id, size, at in zip(
-                ids, sizes_col[block:stop], current.positions(ids)
+                ids.tolist(), sizes_col[block:stop].tolist(), current.positions(ids)
             ):
                 if len(current) >= rotation_items:
                     self._previous = previous = current

@@ -98,9 +98,9 @@ class LruCache(CachePolicy):
         capacity = self.capacity
         used = self._used
         hits = hit_bytes = misses = miss_bytes = evictions = admissions = 0
-        for i in range(begin, end):
-            obj_id = obj_ids[i]
-            size = sizes_col[i]
+        for obj_id, size in zip(
+            obj_ids[begin:end].tolist(), sizes_col[begin:end].tolist()
+        ):
             if obj_id in sizes:
                 hits += 1
                 hit_bytes += size
@@ -143,22 +143,24 @@ class LruKCache(CachePolicy):
         super().__init__(capacity)
         self.k = k
         self.name = f"lru-{k}"
-        self._history: dict[int, deque[float]] = {}
+        #: Each content's last (at most ``k``) reference times, oldest
+        #: first.  Every content ever seen keeps one, so it is a tuple,
+        #: rebuilt per access: a fraction of a ``deque``'s footprint.
+        self._history: dict[int, tuple[float, ...]] = {}
         #: Occupied history slots — kept incrementally so metadata_bytes
-        #: stays O(1) under the engine's probe loop (the deques are
-        #: maxlen-bounded and never shrink, so the count only grows).
+        #: stays O(1) under the engine's probe loop (a history holds at
+        #: most ``k`` times and never shrinks, so the count only grows).
         self._history_slots = 0
         self._heap = _PriorityIndex()
         self._pin_span_kernel(LruKCache)
 
     def _on_access(self, req: Request) -> None:
-        times = self._history.get(req.obj_id)
-        if times is None:
-            times = deque(maxlen=self.k)
-            self._history[req.obj_id] = times
+        times = self._history.get(req.obj_id, ())
         if len(times) < self.k:
             self._history_slots += 1
-        times.append(req.time)
+            self._history[req.obj_id] = times + (req.time,)
+        else:
+            self._history[req.obj_id] = times[1:] + (req.time,)
         if self.contains(req.obj_id):
             self._heap.update(req.obj_id, self._backward_k_time(req.obj_id))
 
@@ -198,16 +200,18 @@ class LruKCache(CachePolicy):
         history_slots = self._history_slots
         neg_inf = -np.inf
         hits = hit_bytes = misses = miss_bytes = evictions = admissions = 0
-        for i in range(begin, end):
-            obj_id = obj_ids[i]
-            size = sizes_col[i]
-            times_q = history_get(obj_id)
-            if times_q is None:
-                times_q = deque(maxlen=k)
-                history[obj_id] = times_q
+        for obj_id, size, now in zip(
+            obj_ids[begin:end].tolist(),
+            sizes_col[begin:end].tolist(),
+            times[begin:end].tolist(),
+        ):
+            times_q = history_get(obj_id, ())
             if len(times_q) < k:
                 history_slots += 1
-            times_q.append(times[i])
+                times_q += (now,)
+            else:
+                times_q = times_q[1:] + (now,)
+            history[obj_id] = times_q
             if obj_id in sizes:
                 heap_update(obj_id, times_q[0] if len(times_q) == k else neg_inf)
                 hits += 1
@@ -325,9 +329,9 @@ class LfuDaCache(CachePolicy):
         used = self._used
         age = self._age
         hits = hit_bytes = misses = miss_bytes = evictions = admissions = 0
-        for i in range(begin, end):
-            obj_id = obj_ids[i]
-            size = sizes_col[i]
+        for obj_id, size in zip(
+            obj_ids[begin:end].tolist(), sizes_col[begin:end].tolist()
+        ):
             count = counts_get(obj_id, 0) + 1
             counts[obj_id] = count
             if obj_id in sizes:

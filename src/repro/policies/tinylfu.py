@@ -35,24 +35,36 @@ class _SketchAdmission(CachePolicy):
         #: The current request's sketch cells while ``replay_span`` walks
         #: a span; None outside one.
         self._cells: list[int] | None = None
+        #: Each cached object's cells, so the admission duel reads the
+        #: victim's estimate without hashing its key again.  Only the
+        #: replay's speed needs it, so ``metadata_bytes`` does not charge
+        #: it.
+        self._cached_cells: dict[int, list[int]] = {}
 
     def replay_span(self, obj_ids, sizes, times, begin: int, end: int) -> None:
         """Hash the span's keys a block at a time, then walk ``request``.
 
-        Each request's ``_on_access`` and admission duel take the cells
-        hashed for it instead of hashing its key again.  Like LHR's
-        kernel this walks whatever ``request`` and hooks the instance
-        carries, so it needs no pin: decision tracers and subclass hooks
-        see every request.
+        Each request's ``_on_access``, admission duel and ``_on_admit``
+        take the cells hashed for it instead of hashing its key again.
+        Like LHR's kernel this walks whatever ``request`` and hooks the
+        instance carries, so it needs no pin: decision tracers and
+        subclass hooks see every request.
         """
         request = self.request
         hash_cells = self._sketch.cells
         try:
             for block in range(begin, end, HASH_BLOCK):
                 stop = min(block + HASH_BLOCK, end)
-                for i, cells in enumerate(hash_cells(obj_ids[block:stop]), block):
+                ids = obj_ids[block:stop]
+                for index, obj_id, size, time, cells in zip(
+                    range(block, stop),
+                    ids.tolist(),
+                    sizes[block:stop].tolist(),
+                    times[block:stop].tolist(),
+                    hash_cells(ids),
+                ):
                     self._cells = cells
-                    request(Request(times[i], obj_ids[i], sizes[i], i))
+                    request(Request(time, obj_id, size, index))
         finally:
             self._cells = None
 
@@ -73,6 +85,19 @@ class _SketchAdmission(CachePolicy):
         if self._increments >= max(1024, self._sample_multiplier * max(self.num_objects, 1)):
             self._sketch.age()
             self._increments = 0
+
+    def _victim_frequency(self, victim: int) -> int:
+        """The sketch's estimate for ``victim``, a cached object."""
+        return self._sketch.estimate_at(self._cached_cells[victim])
+
+    def _on_admit(self, req: Request) -> None:
+        cells = self._cells
+        if cells is None:
+            cells = self._sketch._cells(req.obj_id)
+        self._cached_cells[req.obj_id] = cells
+
+    def _on_evict(self, obj_id: int) -> None:
+        del self._cached_cells[obj_id]
 
     def metadata_bytes(self) -> int:
         return super().metadata_bytes() + self._sketch.metadata_bytes()
@@ -99,12 +124,14 @@ class TinyLfuCache(_SketchAdmission):
         if self._used + req.size <= self.capacity or not self._order:
             return True
         victim = next(iter(self._order))
-        return self._frequency(req) > self._sketch.estimate(victim)
+        return self._frequency(req) > self._victim_frequency(victim)
 
     def _on_admit(self, req: Request) -> None:
+        super()._on_admit(req)
         self._order[req.obj_id] = None
 
     def _on_evict(self, obj_id: int) -> None:
+        super()._on_evict(obj_id)
         self._order.pop(obj_id, None)
 
     def _select_victim(self, incoming: Request) -> int:
@@ -198,9 +225,10 @@ class WTinyLfuCache(_SketchAdmission):
         if self._used + req.size <= self.capacity:
             return True
         victim = self._select_victim(req)
-        return self._frequency(req) >= self._sketch.estimate(victim)
+        return self._frequency(req) >= self._victim_frequency(victim)
 
     def _on_admit(self, req: Request) -> None:
+        super()._on_admit(req)
         self._window.add(req.obj_id, req.size)
         # Window overflow spills into probation (no drop — eviction is the
         # base loop's job, driven by _select_victim).
@@ -210,6 +238,7 @@ class WTinyLfuCache(_SketchAdmission):
             self._probation.add(spilled, size)
 
     def _on_evict(self, obj_id: int) -> None:
+        super()._on_evict(obj_id)
         for segment in (self._window, self._probation, self._protected):
             if obj_id in segment:
                 segment.remove(obj_id)

@@ -74,6 +74,9 @@ def simulate(
     == 0``, window rollovers every ``window_requests`` and the warmup
     edge — and hands each chunk to ``policy.replay_span`` in one call, so
     span-kernel policies pay Python dispatch per chunk, not per request.
+    Each call gets the packed NumPy columns whole with the chunk's global
+    ``[begin, end)``; the kernel turns only that slice into lists, so no
+    whole-trace Python list outlives a chunk.
     All aggregate and window accounting is reconstructed from the
     policy's own monotone counters as deltas at those boundaries: every
     request adds its size to exactly one of ``hit_bytes``/``miss_bytes``,
@@ -109,7 +112,7 @@ def simulate(
         policy.attach_tracer(tracer)
     packed = trace if isinstance(trace, PackedTrace) else PackedTrace.from_trace(trace)
     total = len(packed)
-    obj_ids, sizes, times = packed.scalar_columns()
+    obj_ids, sizes, times = packed.obj_ids, packed.sizes, packed.times
     replay_span = policy.replay_span
     interval = metadata_probe_interval
     warmup = warmup_requests

@@ -5,8 +5,9 @@
 contract (:func:`checked_columns`):
 
 * :func:`repro.sim.engine.simulate` replays every trace from these
-  columns, handing chunks to ``CachePolicy.replay_span`` — native span
-  kernels allocate no per-request ``Request`` on the hot path,
+  columns, handing them to ``CachePolicy.replay_span`` one chunk
+  ``[begin, end)`` at a time — native span kernels allocate no
+  per-request ``Request`` on the hot path,
 * it pickles in a few contiguous buffers instead of per-object records,
 * :class:`SharedTraceBuffers` places the columns in POSIX shared memory
   once so sweep workers map them read-only instead of unpickling their
@@ -22,6 +23,12 @@ trace reaches the replay loop without one ``Request`` being built.
 suites (``tests/sim/test_fastpath.py``,
 ``tests/sim/test_span_differential.py``) pin every span kernel to
 bit-identical hit/miss streams.
+
+The column contract: a span kernel receives these NumPy columns whole,
+with global ``[begin, end)``, and turns into Python lists only its
+chunk's slice of the columns it reads (``col[begin:end].tolist()``).
+No replay keeps a whole-trace list, and this class caches none, so a
+replay holds the columns plus the cache's live state.
 """
 
 from __future__ import annotations
@@ -158,21 +165,10 @@ class PackedTrace:
         return Trace._of_columns(self, self.name, dict(self.metadata))
 
     def scalar_columns(self) -> tuple[list, list, list]:
-        """``(obj_ids, sizes, times)`` as plain Python lists.
-
-        Plain lists of ints/floats are the fastest iteration substrate for
-        the scalar replay loop (NumPy scalar extraction boxes per element);
-        the conversion happens once and is cached on the instance.
-        """
-        scalars = self.__dict__.get("_scalars")
-        if scalars is None:
-            scalars = (
-                self.obj_ids.tolist(),
-                self.sizes.tolist(),
-                self.times.tolist(),
-            )
-            object.__setattr__(self, "_scalars", scalars)
-        return scalars
+        """``(obj_ids, sizes, times)`` as plain Python lists, built anew
+        on every call; replays never need them (see the module
+        docstring)."""
+        return self.obj_ids.tolist(), self.sizes.tolist(), self.times.tolist()
 
     def iter_scalars(self):
         """Yield ``(obj_id, size, time)`` per request, in trace order."""
@@ -181,13 +177,6 @@ class PackedTrace:
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
-
-    def __getstate__(self):
-        # The scalar-column cache can triple the payload; rebuild lazily
-        # on the receiving side instead of shipping it.
-        state = dict(self.__dict__)
-        state.pop("_scalars", None)
-        return state
 
 
 # ----------------------------------------------------------------------

@@ -632,7 +632,8 @@ class TestNonFiniteScores:
         with pytest.raises(ValueError, match=error):
             per_request.request(trace[2])
         span = scripted(LhrCache(1000), [0.5, 0.5, score, 0.5])
-        columns = PackedTrace.from_trace(trace).scalar_columns()
+        packed = PackedTrace.from_trace(trace)
+        columns = packed.obj_ids, packed.sizes, packed.times
         with pytest.raises(ValueError, match=error):
             span.replay_span(*columns, 0, len(trace))
         for cache in (per_request, span):
@@ -643,7 +644,7 @@ class TestNonFiniteScores:
         # close cuts it short, so its last row is re-scored, never
         # consumed.  A NaN in its first row is consumed at once.
         packed = PackedTrace.from_trace(irm_trace(2000, 150, seed=4))
-        columns = packed.scalar_columns()
+        columns = packed.obj_ids, packed.sizes, packed.times
 
         def replay(position):
             cache = LhrCache(

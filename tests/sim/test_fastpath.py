@@ -142,7 +142,7 @@ def test_hit_stream_bit_identical(name, fixture_trace, fixture_capacity):
     reference = _build(name, fixture_capacity)
     fast = _build(name, fixture_capacity)
     packed = PackedTrace.from_trace(fixture_trace)
-    obj_ids, sizes, times = packed.scalar_columns()
+    obj_ids, sizes, times = packed.obj_ids, packed.sizes, packed.times
     for index, req in enumerate(fixture_trace):
         hit_ref = reference.request(req)
         hits_before = fast.hits
@@ -437,7 +437,8 @@ class TestSubclassSafety:
         """A hook raising inside LHR's kernel leaves no pre-scored row
         behind: the next direct ``request`` scores its own."""
         policy = LhrCache(fixture_capacity, **LHR_WINDOWS)
-        cols = PackedTrace.from_trace(fixture_trace).scalar_columns()
+        packed = PackedTrace.from_trace(fixture_trace)
+        cols = packed.obj_ids, packed.sizes, packed.times
         half = len(fixture_trace) // 2
         policy.replay_span(*cols, 0, half)
         assert policy.model_ready
@@ -493,7 +494,8 @@ class TestSubclassSafety:
         hashed cells behind: the next direct ``request`` counts its own
         key, not the key of the request that raised."""
         policy = WTinyLfuCache(fixture_capacity)
-        cols = PackedTrace.from_trace(fixture_trace).scalar_columns()
+        packed = PackedTrace.from_trace(fixture_trace)
+        cols = packed.obj_ids, packed.sizes, packed.times
         half = len(fixture_trace) // 2
         policy.replay_span(*cols, 0, half)
         raised = []

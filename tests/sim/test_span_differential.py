@@ -133,7 +133,8 @@ def _replay_both(name, capacity, columns, stops):
     for i, (time, obj_id, size) in enumerate(zip(times, obj_ids, sizes)):
         reference.request(Request(time, obj_id, size, i))
     spanned = build_policy(name, capacity, **KWARGS.get(name, {}))
-    cols = PackedTrace.from_arrays(times, obj_ids, sizes).scalar_columns()
+    packed = PackedTrace.from_arrays(times, obj_ids, sizes)
+    cols = packed.obj_ids, packed.sizes, packed.times
     begin = 0
     for stop in stops:
         spanned.replay_span(*cols, begin, stop)

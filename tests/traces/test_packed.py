@@ -40,13 +40,12 @@ class TestPackedRoundTrip:
         assert packed.obj_ids.dtype == np.int64
         assert packed.sizes.dtype == np.int64
 
-    def test_scalar_columns_cached_and_exact(self, tiny_trace):
+    def test_scalar_columns_exact(self, tiny_trace):
         packed = PackedTrace.from_trace(tiny_trace)
         obj_ids, sizes, times = packed.scalar_columns()
         assert obj_ids == [req.obj_id for req in tiny_trace]
         assert sizes == [req.size for req in tiny_trace]
         assert times == [req.time for req in tiny_trace]
-        assert packed.scalar_columns() is packed.scalar_columns()
 
     def test_iter_scalars_order(self, tiny_trace):
         packed = PackedTrace.from_trace(tiny_trace)
