@@ -70,12 +70,20 @@ def ablation_window_currency():
         t = trace(name)
         capacity = cache_bytes(name, paper_cache_sizes(name)[1])
         by_bytes = LhrCache(capacity, window_multiple=4.0, seed=0)
+        # HRO keeps only its last two windows, so every window's length is
+        # collected as it closes, ahead of LHR's own pipeline.
+        lengths = []
+        pipeline = by_bytes.hro.on_window
+
+        def collect(window):
+            lengths.append(window.num_requests)
+            pipeline(window)
+
+        by_bytes.hro.on_window = collect
         by_bytes.process(t)
         # Request-count window of equal expected length: force closes at
         # the mean per-window request count of the byte-sized run.
-        mean_requests = max(
-            int(np.mean([w.num_requests for w in by_bytes.hro.windows] or [1000])), 256
-        )
+        mean_requests = max(int(np.mean(lengths or [1000])), 256)
         # A window closes once both its unique-byte and its request-count
         # conditions hold, so a vanishing byte multiple leaves the request
         # count alone to decide.

@@ -175,7 +175,13 @@ def _belady_size_run(
 
 
 def belady_size(requests: Sequence[Request], capacity: int) -> BoundResult:
-    """The Bélády-size bound: farthest-next-request eviction by bytes."""
+    """The Bélády-size bound: farthest-next-request eviction by bytes.
+
+    A greedy heuristic, not OPT, and not monotone in ``capacity``: a
+    larger cache can let it admit a large object whose one hit costs the
+    hits of the several small objects it evicts (pinned in
+    ``tests/bounds/test_properties.py``).
+    """
     _, hits, hit_bytes, total_bytes = _belady_size_run(requests, capacity)
     return BoundResult(
         name="belady-size",

@@ -15,10 +15,11 @@ smaller ``num_irts``, which is what the Figure 6 ablation sweeps.
 Missing IRTs (young contents) are filled with ``missing_value`` — a large
 sentinel that the tree model can split away from real gaps.
 
-Gaps live in preallocated per-content ring buffers (most recent at the
+Gaps live in fixed-size per-content ring buffers (most recent at the
 ring head, the appendleft order the model was designed around) so
 ``vector`` fills the IRT block with at most two array-slice copies
-instead of a Python loop over a deque.
+instead of a Python loop over a deque.  A content's ring is allocated by
+its first gap: most contents are requested once and never need one.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ def feature_dim(num_irts: int) -> int:
 class _ContentRecord:
     __slots__ = ("gaps", "head", "length", "last_time", "first_time", "count", "size")
 
-    def __init__(self, max_gaps: int, time: float, size: int):
+    def __init__(self, time: float, size: int):
         # Ring buffer of recent gaps, most recent at ``head`` and older
         # entries following (wrapping); ``length`` counts the filled slots.
-        self.gaps = np.empty(max_gaps, dtype=np.float64)
+        # None until the first gap: only a ring with ``length > 0`` is read.
+        self.gaps: np.ndarray | None = None
         self.head = 0
         self.length = 0
         self.last_time = time
@@ -53,12 +55,14 @@ class _ContentRecord:
         self.count = 1
         self.size = size
 
-    def push_gap(self, gap: float) -> int:
-        """Prepend a gap (appendleft semantics); returns slots grown (0/1)."""
-        buf = self.gaps
-        capacity = buf.shape[0]
+    def push_gap(self, gap: float, capacity: int) -> int:
+        """Prepend a gap (appendleft semantics) to a ring of ``capacity``
+        slots, allocated on the first push; returns slots grown (0/1)."""
         if capacity == 0:
             return 0
+        buf = self.gaps
+        if buf is None:
+            buf = self.gaps = np.empty(capacity, dtype=np.float64)
         head = self.head - 1
         if head < 0:
             head = capacity - 1
@@ -106,9 +110,11 @@ class FeatureStore:
         """``observe`` without a ``Request`` — the columnar fast path."""
         record = self._records.get(obj_id)
         if record is None:
-            self._records[obj_id] = _ContentRecord(self.max_irts - 1, time, size)
+            self._records[obj_id] = _ContentRecord(time, size)
             return
-        self._gap_slots += record.push_gap(time - record.last_time)
+        self._gap_slots += record.push_gap(
+            time - record.last_time, self.max_irts - 1
+        )
         record.last_time = time
         record.count += 1
 

@@ -27,6 +27,10 @@ bound: it classifies the request against the ranking in force, counts
 the hit, then accounts the request.  The ranking of the two most recent
 closed windows is computed once per close, when ``process``,
 ``hazard_threshold`` or ``hazard_rank`` first asks for it.
+
+A request's hazard reads the last closed window and the open one, and
+the ranking reads the last two closed windows, so the bound keeps just
+those two and its memory does not grow with the trace.
 """
 
 from __future__ import annotations
@@ -88,11 +92,14 @@ class HroBound:
 
     :meth:`process` is the bound: it returns the HRO hit/miss
     classification of a request and counts it.  :meth:`process_scalar`
-    is the window accountant alone, which is all LHR runs.  Closed
-    windows are kept in :attr:`windows` (statistics and each window's own
-    top set).  ``on_window`` may be set to a callable invoked with each
+    is the window accountant alone, which is all LHR runs.
+    :attr:`windows` holds the two most recent closed windows, oldest
+    first: the hazard and the ranking read nothing older.
+    :attr:`windows_closed` counts every close and numbers each window's
+    ``index``.  ``on_window`` may be set to a callable invoked with each
     closed :class:`HroWindow` — LHR hooks its detection/training
-    pipeline there.
+    pipeline there, and code that needs every closed window collects
+    them there.
     """
 
     def __init__(
@@ -136,7 +143,10 @@ class HroBound:
         self._last_time: dict[int, float] = {}
         self._models: dict = {}
         self._model_hazards: tuple[list[int], np.ndarray, np.ndarray] | None = None
+        #: The two most recent closed windows, oldest first.
         self.windows: list[HroWindow] = []
+        #: Windows closed so far; each window's ``index`` is its place.
+        self.windows_closed = 0
         self.on_window = None
         #: The cacheability verdict :meth:`process` reached for the last
         #: request, hit or miss: the content is in the ranking's top set
@@ -258,7 +268,7 @@ class HroBound:
             # The window takes over the accumulator's dicts; a fresh
             # accumulator replaces it below.
             window = HroWindow(
-                index=len(self.windows),
+                index=self.windows_closed,
                 num_requests=acc.num_requests,
                 unique_bytes=acc.unique_bytes,
                 duration=acc.duration,
@@ -268,7 +278,9 @@ class HroBound:
                     acc.counts, acc.sizes, acc.duration, self.capacity
                 ),
             )
+            self.windows_closed += 1
             self.windows.append(window)
+            del self.windows[:-2]
             self._accumulator = _WindowAccumulator()
             self._ranked = None
             if self.hazard_model != "poisson":

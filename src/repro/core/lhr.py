@@ -154,8 +154,11 @@ class LhrCache(CachePolicy):
 
         # Per-window buffers for training and threshold estimation.
         # Content ids (not Request objects) are enough for labelling, so
-        # the columnar path never has to materialize requests.
-        self._window_rows: list[np.ndarray] = []
+        # the columnar path never has to materialize requests.  The open
+        # window's feature rows fill the first ``_window_len`` rows of one
+        # matrix, which doubles when full and is reused by the next window.
+        self._window_matrix = np.empty((64, feature_dim(num_irts)))
+        self._window_len = 0
         self._window_ids: list[int] = []
         self._window_samples: list[WindowSample] = []
         self._last_access_time = 0.0
@@ -231,7 +234,14 @@ class LhrCache(CachePolicy):
         self._last_access_time = now
         self._current_p = p
         self.features.observe_scalar(obj_id, size, now)
-        self._window_rows.append(row)
+        n = self._window_len
+        matrix = self._window_matrix
+        if n == matrix.shape[0]:
+            matrix = self._window_matrix = np.concatenate(
+                [matrix, np.empty_like(matrix)]
+            )
+        matrix[n] = row
+        self._window_len = n + 1
         self._window_ids.append(obj_id)
         self._window_samples.append(
             WindowSample(obj_id=obj_id, size=size, time=now, probability=p)
@@ -401,7 +411,7 @@ class LhrCache(CachePolicy):
                 # access; the pick scores them with IRT_1 = 1e9.
                 stale = [oid not in features for oid in self._cached]
                 self._cached.columns["last"][: len(stale)][stale] = np.nan
-        self._window_rows.clear()
+        self._window_len = 0
         self._window_ids.clear()
         self._window_samples.clear()
 
@@ -449,10 +459,10 @@ class LhrCache(CachePolicy):
         )
 
     def _train(self, window: HroWindow) -> None:
-        if not self._window_rows:
+        if not self._window_len:
             return
         labels = window_labels_for_ids(window, self._window_ids)
-        rows = np.vstack(self._window_rows)
+        rows = self._window_matrix[: self._window_len]
         start = time.perf_counter()
         with self.obs.spans.span(
             "lhr.gbm_refit", cat="lhr", rows=int(rows.shape[0])
@@ -507,7 +517,7 @@ class LhrCache(CachePolicy):
     def metadata_bytes(self) -> int:
         total = self.features.metadata_bytes()
         total += 16 * len(self._cached)
-        total += 8 * feature_dim(self.num_irts) * len(self._window_rows)
+        total += 8 * feature_dim(self.num_irts) * self._window_len
         total += 40 * len(self._window_samples)
         if self._model is not None:
             total += self._model.metadata_bytes()

@@ -9,6 +9,9 @@ These encode the provable orderings:
   average-occupancy budget PFOO-U optimizes over.
 * PFOO-L <= PFOO-U (feasible packing vs relaxation of the same problem).
 * HRO <= InfiniteCap.
+* PFOO-U and Bélády (unit size) never lose hits as the cache grows.
+  Bélády-size can: it is a greedy heuristic, and a larger cache can let
+  it admit a large object whose one hit costs two small objects' hits.
 """
 
 from hypothesis import given, settings
@@ -120,15 +123,27 @@ def test_byte_accounting_consistent(rows):
     rows=trace_rows,
     small=st.integers(min_value=5, max_value=40),
     extra=st.integers(min_value=1, max_value=100),
+    frames=st.integers(min_value=1, max_value=12),
+    more=st.integers(min_value=1, max_value=12),
 )
-def test_bounds_monotone_in_capacity(rows, small, extra):
+def test_bounds_monotone_in_capacity(rows, small, extra, frames, more):
+    """More bytes never cost PFOO-U a hit, nor more frames Bélády."""
     trace = build_trace(rows)
-    large = small + extra
     assert (
-        belady_size(trace.requests, large).hits
-        >= belady_size(trace.requests, small).hits
-    )
-    assert (
-        pfoo_upper(trace.requests, large).hits
+        pfoo_upper(trace.requests, small + extra).hits
         >= pfoo_upper(trace.requests, small).hits
     )
+    unit = build_trace(rows, unit_size=True)
+    assert (
+        belady_unit(unit.requests, frames + more).hits
+        >= belady_unit(unit.requests, frames).hits
+    )
+
+
+def test_belady_size_is_not_monotone_in_capacity():
+    """At 5 bytes objects 0 and 1 stay cached and both are hit; at 28
+    bytes Bélády-size evicts them to admit object 2, which is hit once."""
+    trace = build_trace([(0, 1), (1, 1), (2, 28), (2, 1), (0, 1), (1, 1)])
+    assert [req.size for req in trace.requests] == [1, 1, 28, 28, 1, 1]
+    assert belady_size(trace.requests, 5).hits == 2
+    assert belady_size(trace.requests, 28).hits == 1

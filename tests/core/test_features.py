@@ -1,7 +1,12 @@
 """FeatureStore: IRT semantics (Section 5.2.1) and pruning."""
 
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.features import DEFAULT_MISSING, FeatureStore, feature_dim
 from repro.traces.request import Request
@@ -81,8 +86,6 @@ class TestVectorSemantics:
         """The preallocated ring must reproduce appendleft order exactly,
         including across the wraparound point — checked against a naive
         list model after every observation."""
-        from collections import deque
-
         max_irts = 5
         store = FeatureStore(max_irts=max_irts)
         model = deque(maxlen=max_irts - 1)  # most recent gap first
@@ -228,3 +231,145 @@ class TestFeatureMatrix:
         assert matrix[0][0] == DEFAULT_MISSING
         # Request 3 sees neither virtual observation from indices 0-1.
         assert matrix[1][0] == DEFAULT_MISSING
+
+
+class TestRingAllocation:
+    def test_contents_seen_once_hold_no_ring(self):
+        """A content requested once has no gap, so its record holds no
+        gap ring: the store keeps a record and a dict entry per content,
+        not a ``max_irts - 1`` float ring (about 480 B each with one)."""
+        count = 20_000
+        ids = list(range(10_000, 10_000 + count))
+        sizes = list(range(1_000, 1_000 + count))
+        times = [float(t) for t in range(count)]
+        store = FeatureStore(max_irts=32)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for obj_id, size, time in zip(ids, sizes, times):
+                store.observe_scalar(obj_id, size, time)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(store) == count
+        assert store.metadata_bytes() == 8 * 4 * count
+        assert retained / count < 200
+
+
+class _DequeStore:
+    """Reference feature store: per content ``[last_time, first_time,
+    count, size, gaps]`` with the gaps in a ``deque(maxlen=max_irts -
+    1)``, most recent first (``appendleft``)."""
+
+    def __init__(self, max_irts):
+        self.max_irts = max_irts
+        self.records = {}
+
+    def observe(self, obj_id, size, time):
+        record = self.records.get(obj_id)
+        if record is None:
+            gaps = deque(maxlen=self.max_irts - 1)
+            self.records[obj_id] = [time, time, 1, size, gaps]
+        else:
+            record[4].appendleft(time - record[0])
+            record[0] = time
+            record[2] += 1
+
+    def vector(self, obj_id, now, num_irts):
+        record = self.records.get(obj_id)
+        if record is None:
+            return [DEFAULT_MISSING] * num_irts + [0.0] * 3
+        last, first, count, size, gaps = record
+        irts = list(gaps)[: num_irts - 1]
+        irts += [DEFAULT_MISSING] * (num_irts - 1 - len(irts))
+        return [now - last, *irts, float(np.log1p(size)), float(count), now - first]
+
+    def prune(self, now, horizon):
+        stale = [oid for oid, r in self.records.items() if now - r[0] > horizon]
+        for oid in stale:
+            del self.records[oid]
+        return len(stale)
+
+    def metadata_bytes(self):
+        return 8 * sum(len(r[4]) + 4 for r in self.records.values())
+
+
+def _bits(row):
+    return np.asarray(row, dtype=np.float64).tobytes()
+
+
+_arrival = st.tuples(
+    st.integers(min_value=0, max_value=7),  # content
+    st.floats(min_value=0.0, max_value=20.0),  # gap since the last arrival
+    st.integers(min_value=1, max_value=1 << 40),  # size
+)
+_step = st.one_of(
+    st.tuples(st.just("observe"), _arrival),
+    st.tuples(st.just("span"), st.lists(_arrival, min_size=1, max_size=12)),
+    st.tuples(st.just("prune"), st.floats(min_value=0.01, max_value=60.0)),
+)
+
+
+class TestMatchesDequeReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        max_irts=st.integers(min_value=1, max_value=5),
+        steps=st.lists(_step, min_size=1, max_size=25),
+    )
+    @example(  # no gap slots at all: IRT_1 and the static features only
+        max_irts=1,
+        steps=[
+            ("observe", (0, 0.0, 7)),
+            ("span", [(0, 2.0, 7), (1, 0.5, 3), (0, 1.0, 7)]),
+            ("prune", 0.75),
+        ],
+    )
+    def test_rows_equal_reference_bit_for_bit(self, max_irts, steps):
+        """Random observe sequences, spans and prunes: contents seen
+        once, first gaps that arrive inside a ``feature_matrix`` span,
+        rings that wrap, records pruned and recreated.  Every ``vector``
+        and ``feature_matrix`` row equals the deque reference's bit for
+        bit, and a record holds a ring exactly when it holds a gap."""
+        store = FeatureStore(max_irts=max_irts)
+        reference = _DequeStore(max_irts)
+        now = 0.0
+        for kind, arg in steps:
+            if kind == "prune":
+                assert store.prune(now, arg) == reference.prune(now, arg)
+            elif kind == "observe":
+                obj_id, gap, size = arg
+                now += gap
+                for num_irts in range(1, max_irts + 1):
+                    assert _bits(store.vector(obj_id, now, num_irts)) == _bits(
+                        reference.vector(obj_id, now, num_irts)
+                    )
+                store.observe_scalar(obj_id, size, now)
+                reference.observe(obj_id, size, now)
+            else:
+                ids, sizes, times = [], [], []
+                for obj_id, gap, size in arg:
+                    now += gap
+                    ids.append(obj_id)
+                    sizes.append(size)
+                    times.append(now)
+                n = len(ids)
+                matrices = [
+                    store.feature_matrix(ids, sizes, times, 0, n, num_irts)
+                    for num_irts in range(1, max_irts + 1)
+                ]
+                for k in range(n):
+                    for num_irts, matrix in enumerate(matrices, start=1):
+                        assert _bits(matrix[k]) == _bits(
+                            reference.vector(ids[k], times[k], num_irts)
+                        ), (k, num_irts)
+                    reference.observe(ids[k], sizes[k], times[k])
+                for k in range(n):
+                    store.observe_scalar(ids[k], sizes[k], times[k])
+            assert len(store) == len(reference.records)
+            assert store.metadata_bytes() == reference.metadata_bytes()
+            for obj_id, record in store._records.items():
+                assert obj_id in reference.records
+                assert (record.gaps is None) == (record.length == 0)
+                assert _bits(store.vector(obj_id, now, max_irts)) == _bits(
+                    reference.vector(obj_id, now, max_irts)
+                )

@@ -539,6 +539,8 @@ class TestMatchesReference:
         reference = ReferenceHroBound(capacity, **kwargs)
         reference.track_decisions = True
         bound = HroBound(capacity, **kwargs)
+        closed = []
+        bound.on_window = closed.append
         for request in requests:
             assert bound.process(request) == reference.process(request)
             assert bound.last_would_cache == reference.last_would_cache
@@ -553,11 +555,17 @@ class TestMatchesReference:
             reference.total_bytes,
         )
         expected = [_window_fields(w) for w in reference.windows]
-        assert [_window_fields(w) for w in bound.windows] == expected
+        assert [_window_fields(w) for w in closed] == expected
+        assert [_window_fields(w) for w in bound.windows] == expected[-2:]
+        assert bound.windows_closed == len(expected)
         accountant = HroBound(capacity, **kwargs)
+        accounted = []
+        accountant.on_window = accounted.append
         for request in requests:
             accountant.process_scalar(request.obj_id, request.size, request.time)
-        assert [_window_fields(w) for w in accountant.windows] == expected
+        assert [_window_fields(w) for w in accounted] == expected
+        assert [_window_fields(w) for w in accountant.windows] == expected[-2:]
+        assert accountant.windows_closed == len(expected)
         assert accountant.requests == 0
 
     @pytest.mark.parametrize("spec", ["cdn-a", "cdn-c", "wiki"])
@@ -569,6 +577,8 @@ class TestMatchesReference:
         reference = ReferenceHroBound(capacity, min_window_requests=512)
         reference.track_decisions = True
         bound = HroBound(capacity, min_window_requests=512)
+        closed = []
+        bound.on_window = closed.append
         verdicts = []
         expected = []
         for request in trace:
@@ -588,8 +598,9 @@ class TestMatchesReference:
                     reference.hazard_rank(request.obj_id),
                 )
             )
-        assert len(bound.windows) >= 2
+        assert len(closed) >= 2
         assert verdicts == expected
-        assert [_window_fields(w) for w in bound.windows] == [
-            _window_fields(w) for w in reference.windows
-        ]
+        windows = [_window_fields(w) for w in reference.windows]
+        assert [_window_fields(w) for w in closed] == windows
+        assert [_window_fields(w) for w in bound.windows] == windows[-2:]
+        assert bound.windows_closed == len(windows)

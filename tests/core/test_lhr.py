@@ -35,6 +35,20 @@ class _SequenceBackend(ModelBackend):
         return np.array([next(self._scores) for _ in rows])
 
 
+def closed_windows(policy):
+    """Every window ``policy``'s HRO closes from now on, collected by a
+    hook chained in front of LHR's own (HRO keeps only the last two)."""
+    closed = []
+    pipeline = policy.hro.on_window
+
+    def collect(window):
+        closed.append(window)
+        pipeline(window)
+
+    policy.hro.on_window = collect
+    return closed
+
+
 def scripted(cache, scores):
     """``cache`` with a stand-in model whose outputs are ``scores``, in
     request order.  Only for replays too short to close a window, whose
@@ -105,10 +119,65 @@ class TestWindowPipeline:
         assert gated.trainings <= 1 + 0
         assert always.trainings == always.windows_processed
 
-    def test_window_buffers_cleared(self, trained_lhr):
-        # After the final window closes mid-trace, the buffers hold at
-        # most one open window of data.
-        assert len(trained_lhr._window_rows) <= len(trained_lhr.hro._accumulator.counts) + trained_lhr.hro._accumulator.num_requests
+    def test_window_buffers_cleared(self, production_trace, production_capacity):
+        """After every request of the span kernel the window buffers hold
+        exactly the open window's requests: one feature row, id and
+        sample each."""
+        from repro.sim import simulate
+
+        cache = LhrCache(production_capacity, seed=0)
+        request = cache.request
+
+        def checked(req):
+            hit = request(req)
+            assert (
+                cache._window_len
+                == len(cache._window_ids)
+                == len(cache._window_samples)
+                == cache.hro._accumulator.num_requests
+            )
+            return hit
+
+        cache.request = checked
+        simulate(cache, production_trace)
+        assert cache.windows_processed >= 2
+
+    def test_refit_reads_the_window_matrix(
+        self, production_trace, production_capacity, monkeypatch
+    ):
+        """Each refit fits the window's rows where they were written, a
+        view of the window matrix rather than a copy, and they equal bit
+        for bit the rows the window's requests were scored with."""
+        from repro.core.gbm import GradientBoostingRegressor
+        from repro.sim import simulate
+
+        cache = LhrCache(production_capacity, seed=0)
+        scored = []
+        request = cache.request
+
+        def recording(req):
+            scored.append(cache._scored[0].copy())
+            return request(req)
+
+        cache.request = recording
+        closed = closed_windows(cache)
+        fits = []
+        fit = GradientBoostingRegressor.fit
+
+        def spy(model, features, targets, *args, **kwargs):
+            # A refit runs inside the close of the last window collected.
+            in_place = np.shares_memory(features, cache._window_matrix)
+            fits.append((closed[-1], in_place, features.tobytes()))
+            return fit(model, features, targets, *args, **kwargs)
+
+        monkeypatch.setattr(GradientBoostingRegressor, "fit", spy)
+        simulate(cache, production_trace)
+        assert len(fits) == cache.trainings >= 2
+        for window, in_place, rows in fits:
+            start = sum(w.num_requests for w in closed[: window.index])
+            expected = np.array(scored[start : start + window.num_requests])
+            assert in_place
+            assert rows == expected.tobytes()
 
 
 class TestRequestCases:
@@ -346,8 +415,8 @@ class TestHroAccountantOnly:
         from repro.sim import build_policy, simulate
 
         policy = build_policy(name, int(0.1 * trace.unique_bytes()))
+        windows = closed_windows(policy)
         simulate(policy, trace)
-        windows = policy.hro.windows
         assert len(windows) >= 2
         assert spies["process"] == 0
         assert policy.hro.requests == 0
@@ -366,9 +435,9 @@ class TestHroAccountantOnly:
         labels_only = len(spies["knapsack"])
         del spies["knapsack"][:]
         traced = build_policy(name, capacity)
+        windows = closed_windows(traced)
         tracer = DecisionTracer()
         simulate(traced, trace, tracer=tracer)
-        windows = traced.hro.windows
         assert spies["process"] == 0
         assert labels_only == len(windows) >= 2
         assert len(windows) < len(spies["knapsack"]) <= 2 * len(windows)

@@ -69,7 +69,7 @@ class TestLhrInternalsConsistency:
         trace, capacity = scenario
         cache = LhrCache(capacity, seed=0)
         cache.process(trace)
-        assert cache.windows_processed == len(cache.hro.windows)
+        assert cache.windows_processed == cache.hro.windows_closed
         assert cache.trainings <= cache.windows_processed
         assert len(cache.estimator.history) >= 1
 

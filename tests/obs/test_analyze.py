@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.hro import HroBound
 from repro.obs import DecisionTracer
 from repro.obs.analyze import (
     analyze_trace,
@@ -48,17 +49,28 @@ class TestTraceHro:
         # Once the first window closes a marginal hazard exists.
         assert any(r.threshold is not None for r in tracer.records)
 
-    def test_closing_request_carries_the_ranking_that_decided_it(self, hro_traced):
+    def test_closing_request_carries_the_ranking_that_decided_it(
+        self, small_trace, capacity, hro_traced
+    ):
         """The ranking changes only at a close, so every request of a
         window — the one that closes it included — was classified under
         one threshold and one rank per content."""
         tracer, bound = hro_traced
         records = tracer.records
-        assert len(bound.windows) >= 3
-        assert sum(w.num_requests for w in bound.windows) < len(records)
+        # The bound keeps only its last two windows; an accountant fed the
+        # same requests closes the same windows and hands each to its hook.
+        accountant = HroBound(capacity, min_window_requests=512)
+        windows = []
+        accountant.on_window = windows.append
+        for req in small_trace:
+            accountant.process_scalar(req.obj_id, req.size, req.time)
+        assert bound.windows_closed == len(windows)
+        assert bound.windows == windows[-2:]
+        assert len(windows) >= 3
+        assert sum(w.num_requests for w in windows) < len(records)
         start = 0
         moved = 0
-        for window in bound.windows:
+        for window in windows:
             end = start + window.num_requests
             span = records[start:end]
             assert {r.threshold for r in span} == {span[0].threshold}
@@ -68,7 +80,7 @@ class TestTraceHro:
             assert all(len(seen) == 1 for seen in ranks.values())
             moved += records[end].threshold != span[-1].threshold
             start = end
-        assert moved == len(bound.windows)
+        assert moved == len(windows)
 
 
 class TestDivergenceReport:

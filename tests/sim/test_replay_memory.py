@@ -8,8 +8,10 @@ import tracemalloc
 
 import numpy as np
 
+from repro.core.lhr import LhrCache
 from repro.policies.classic import LruCache, LruKCache
 from repro.sim.engine import simulate
+from repro.traces import generate_production_trace
 from repro.traces.packed import PackedTrace
 from repro.traces.synthetic import irm_trace
 
@@ -56,3 +58,39 @@ def test_lru_k_history_is_compact():
     _, retained, _ = _traced(lambda: simulate(policy, packed))
     assert len(policy._history) == count
     assert retained / count < 300
+
+
+def test_lhr_replay_keeps_no_window_history():
+    """HRO keeps its last two closed windows, not one per close, so an
+    LHR replay through twice as many windows retains about as much
+    (keeping every window costs about 20 KB per window here)."""
+    trace = generate_production_trace("cdn-c", scale=0.01, seed=5)
+    packed = PackedTrace.from_trace(trace)
+
+    def part(begin, end):
+        return PackedTrace.from_arrays(
+            packed.times[begin:end], packed.obj_ids[begin:end], packed.sizes[begin:end]
+        )
+
+    half = len(packed) // 2
+    first, second = part(0, half), part(half, len(packed))
+    capacity = int(0.01 * trace.unique_bytes())
+    # A short replay first loads what a replay imports, outside the count.
+    simulate(LhrCache(capacity, min_window_requests=64, seed=0), part(0, 1000))
+    policy = LhrCache(capacity, min_window_requests=64, seed=0)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        simulate(policy, first)
+        at_half = tracemalloc.get_traced_memory()[0] - before
+        windows_at_half = policy.windows_processed
+        simulate(policy, second)
+        at_end = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert windows_at_half >= 20
+    assert policy.windows_processed >= 2 * windows_at_half - 2
+    assert policy.windows_processed >= 40
+    assert policy.hro.windows_closed == policy.windows_processed
+    assert len(policy.hro.windows) == 2
+    assert at_end < 1.25 * at_half
